@@ -273,13 +273,6 @@ func main() {
 			"seconds":       secs,
 		}})
 	}
-	// The incremental evaluator's one silent performance downgrade: peek
-	// sweeps too large for the row store fall back to recomputation on
-	// accept. Surface it so nobody wonders where the moves/s went.
-	if skips := top.Anneal.Eval.Inc.PeekStoreSkips; skips > 0 {
-		fmt.Fprintf(os.Stderr, "warning: %d peek sweeps exceeded the %d-entry row store and were recomputed on accept (larger graphs than the cache expects; -eval-mode exact avoids the cache)\n",
-			skips, hsgraph.MaxPeekRowEntries)
-	}
 	g := top.Graph
 	if *dfs {
 		g = topo.RelabelHostsDFS(g)

@@ -2,7 +2,6 @@ package hsgraph
 
 import (
 	"context"
-	"math/bits"
 	"runtime/pprof"
 	"strconv"
 	"sync/atomic"
@@ -13,13 +12,13 @@ import (
 // annealing run performs amortize all setup: after the first call on a
 // given switch-count, the steady state is allocation-free.
 //
-// The bit-parallel BFS runs 64 sources per machine word; the Evaluator
-// splits the source words into shards and distributes them over a pool of
-// persistent worker goroutines. Each worker owns private scratch words and
-// accumulates a private partial (path sum, reachable pairs, diameter);
-// partials are merged with integer addition and max, so the result is
-// bit-for-bit identical to the serial Evaluate for every worker count and
-// every scheduling of the shards.
+// The bit-parallel BFS runs up to 128 sources per sweep (one per bit lane
+// of two machine words); the Evaluator splits the sources into shards and
+// distributes them over a pool of persistent worker goroutines. Each
+// worker owns private scratch words and accumulates a private partial
+// (path sum, reachable pairs, diameter); partials are merged with integer
+// addition and max, so the result is bit-for-bit identical to the serial
+// Evaluate for every worker count and every scheduling of the shards.
 //
 // An Evaluator is not safe for concurrent use by multiple goroutines; give
 // each searcher its own (the pool inside is private to it). It is not tied
@@ -32,8 +31,8 @@ type Evaluator struct {
 	dist  []int32
 	queue []int32
 
-	srcs   []int32 // host-bearing switches, gathered per call
-	shards []evalShard
+	srcs   []int32        // host-bearing switches, gathered per call
+	shards []sweepScratch // one per worker
 
 	// Per-round job state: written by the caller before waking the pool,
 	// read-only by workers during the round (the channel operations order
@@ -48,18 +47,6 @@ type Evaluator struct {
 	closed bool
 }
 
-// evalShard is one worker's private scratch and partial accumulators.
-type evalShard struct {
-	visited []uint64
-	front   []uint64
-	next    []uint64
-	total   int64 // ordered weighted path sum over this worker's shards
-	reached int64 // ordered reachable (source, target) pairs
-	wpairs  int64 // ordered reachable host pairs (weighted by host counts)
-	diam    int
-	_       [16]byte // separate hot accumulators of adjacent workers
-}
-
 // NewEvaluator returns an Evaluator with the given number of shard
 // workers. Values below 1 are treated as 1 (fully serial, no pool
 // goroutines). Callers wanting hardware-sized pools typically pass
@@ -71,7 +58,7 @@ func NewEvaluator(workers int) *Evaluator {
 	}
 	e := &Evaluator{
 		workers: workers,
-		shards:  make([]evalShard, workers),
+		shards:  make([]sweepScratch, workers),
 	}
 	if workers > 1 {
 		e.wake = make(chan struct{}, workers-1)
@@ -206,44 +193,34 @@ func (e *Evaluator) connectedQuick(g *Graph, want int) bool {
 // gather.
 func (e *Evaluator) apsp(g *Graph, total, pairs int64, diam int, allAttached bool) Metrics {
 	n := len(e.srcs)
-	orderedSum, reachablePairs, orderedWeighted, sweepDiam := e.runSweep(g)
-	if sweepDiam > diam {
-		diam = sweepDiam
+	t := e.runSweep(g)
+	if t.depth > 0 {
+		diam = max(diam, t.depth+2)
 	}
 	// Every distinct reachable host-bearing pair is counted once per
 	// direction across all shards; halve the ordered sums and compare the
 	// ordered pair count against n(n-1).
-	connected := reachablePairs == int64(n)*int64(n-1) && allAttached
-	total += orderedSum / 2
-	pairs += orderedWeighted / 2
+	connected := t.reach == int64(n)*int64(n-1) && allAttached
+	total += t.sum / 2
+	pairs += t.wpairs / 2
 	return g.finishMetrics(total, pairs, diam, connected)
 }
 
 // runSweep runs the sharded bit-parallel sweep from the sources currently
-// in e.srcs and merges the per-shard partials: the ordered weighted path
-// sum, the ordered reachable (source, target) pair count, the ordered
-// host-pair count and the sweep diameter. The OrbitEvaluator reuses it
+// in e.srcs and merges the per-shard totals. The OrbitEvaluator reuses it
 // with orbit-representative sources only.
-func (e *Evaluator) runSweep(g *Graph) (orderedSum, reachablePairs, orderedWeighted int64, diam int) {
+func (e *Evaluator) runSweep(g *Graph) batchTotals {
 	n := len(e.srcs)
-	// Chunks hold at most 64 sources (one machine word); when the pool is
-	// wider than the word count, shrink chunks so every worker gets a shard.
-	chunk := (n + e.workers - 1) / e.workers
-	if chunk > 64 {
-		chunk = 64
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
+	// Chunks hold at most 128 sources (two machine words); when the pool
+	// is wider than the chunk count, shrink chunks so every worker gets a
+	// shard.
+	chunk := min(max((n+e.workers-1)/e.workers, 1), 128)
 	e.g = g
 	e.chunk = chunk
 	e.shardCount = (n + chunk - 1) / chunk
 	e.cursor.Store(0)
 	for i := range e.shards {
-		e.shards[i].total = 0
-		e.shards[i].reached = 0
-		e.shards[i].wpairs = 0
-		e.shards[i].diam = 0
+		e.shards[i].tot = batchTotals{}
 	}
 	if e.workers == 1 || e.shardCount == 1 {
 		e.runShards(&e.shards[0])
@@ -257,104 +234,25 @@ func (e *Evaluator) runSweep(g *Graph) (orderedSum, reachablePairs, orderedWeigh
 		}
 	}
 	e.g = nil
+	var t batchTotals
 	for i := range e.shards {
-		orderedSum += e.shards[i].total
-		reachablePairs += e.shards[i].reached
-		orderedWeighted += e.shards[i].wpairs
-		if e.shards[i].diam > diam {
-			diam = e.shards[i].diam
-		}
+		t.add(e.shards[i].tot)
 	}
-	return orderedSum, reachablePairs, orderedWeighted, diam
+	return t
 }
 
 // runShards claims shards off the shared cursor until none remain,
-// accumulating into sh only.
-func (e *Evaluator) runShards(sh *evalShard) {
+// accumulating into sc only.
+func (e *Evaluator) runShards(sc *sweepScratch) {
 	g := e.g
-	m := len(g.adj)
-	if cap(sh.visited) < m {
-		sh.visited = make([]uint64, m)
-		sh.front = make([]uint64, m)
-		sh.next = make([]uint64, m)
-	}
+	sc.grow(len(g.adj))
 	for {
 		idx := int(e.cursor.Add(1)) - 1
 		if idx >= e.shardCount {
 			return
 		}
 		lo := idx * e.chunk
-		hi := lo + e.chunk
-		if hi > len(e.srcs) {
-			hi = len(e.srcs)
-		}
-		e.sweepBatch(sh, e.srcs[lo:hi])
-	}
-}
-
-// sweepBatch runs one bit-parallel BFS with the batch sources in the word
-// lanes, weighting every newly reached host-bearing switch by the host
-// counts of the sources that reached it (the same recurrence as
-// Graph.Evaluate, over private scratch).
-func (e *Evaluator) sweepBatch(sh *evalShard, batch []int32) {
-	g := e.g
-	m := len(g.adj)
-	visited := sh.visited[:m]
-	front := sh.front[:m]
-	next := sh.next[:m]
-	for i := range visited {
-		visited[i] = 0
-		front[i] = 0
-	}
-	for bit, s := range batch {
-		visited[s] |= 1 << uint(bit)
-		front[s] |= 1 << uint(bit)
-	}
-	for level := 1; ; level++ {
-		for i := range next {
-			next[i] = 0
-		}
-		active := false
-		for v := 0; v < m; v++ {
-			fv := front[v]
-			if fv == 0 {
-				continue
-			}
-			for _, u := range g.adj[v] {
-				nu := fv &^ visited[u]
-				if nu != 0 {
-					next[u] |= nu
-				}
-			}
-		}
-		for v := 0; v < m; v++ {
-			nv := next[v] &^ visited[v]
-			if nv == 0 {
-				next[v] = 0
-				continue
-			}
-			next[v] = nv
-			visited[v] |= nv
-			active = true
-			kv := int64(g.hosts[v])
-			if kv > 0 {
-				var ks, cnt int64
-				for mask := nv; mask != 0; mask &= mask - 1 {
-					ks += int64(g.hosts[batch[bits.TrailingZeros64(mask)]])
-					cnt++
-				}
-				sh.total += kv * ks * int64(level+2)
-				sh.reached += cnt
-				sh.wpairs += kv * ks
-				if level+2 > sh.diam {
-					sh.diam = level + 2
-				}
-			}
-		}
-		front, next = next, front
-		if !active {
-			break
-		}
+		sc.sweepTotals(g, e.srcs[lo:min(lo+e.chunk, len(e.srcs))])
 	}
 }
 

@@ -299,27 +299,53 @@ func removeNeighbor(adj *[]int32, v int32) {
 // Clone returns a deep copy of g. The edge-mutation log is consumer state,
 // not graph state, and is not copied: clones start with logging disarmed.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		n:         g.n,
-		r:         g.r,
-		hostOf:    append([]int32(nil), g.hostOf...),
-		adj:       make([][]int32, len(g.adj)),
-		hosts:     append([]int32(nil), g.hosts...),
-		hostsAt:   make([][]int32, len(g.hostsAt)),
-		hostPos:   append([]int32(nil), g.hostPos...),
-		edges:     append([][2]int32(nil), g.edges...),
-		posInList: make(map[[2]int32]int32, len(g.posInList)),
-	}
-	for s, ns := range g.adj {
-		c.adj[s] = append([]int32(nil), ns...)
-	}
-	for s, hs := range g.hostsAt {
-		c.hostsAt[s] = append([]int32(nil), hs...)
-	}
-	for k, v := range g.posInList {
-		c.posInList[k] = v
-	}
+	c := &Graph{posInList: make(map[[2]int32]int32, len(g.posInList))}
+	c.CopyFrom(g)
 	return c
+}
+
+// CopyFrom makes g a deep copy of src, every storage order included,
+// reusing g's buffers: it allocates nothing once g has held a graph of
+// src's size. Only the edge positions whose keys differ are re-indexed, so
+// copying a graph that is a few moves away from g costs little more than
+// the slice copies. The mutation log is not copied; a consumer armed on g
+// is invalidated and falls back to a full rebuild.
+func (g *Graph) CopyFrom(src *Graph) {
+	// Edges are unique, so a key at a position both lists share keeps its
+	// index; every other key of g is dropped and every other key of src
+	// is indexed at its new position.
+	for i, key := range g.edges {
+		if i >= len(src.edges) || src.edges[i] != key {
+			delete(g.posInList, key)
+		}
+	}
+	for i, key := range src.edges {
+		if i >= len(g.edges) || g.edges[i] != key {
+			g.posInList[key] = int32(i)
+		}
+	}
+	g.edges = append(g.edges[:0], src.edges...)
+	g.n, g.r = src.n, src.r
+	g.hostOf = append(g.hostOf[:0], src.hostOf...)
+	g.hosts = append(g.hosts[:0], src.hosts...)
+	g.hostPos = append(g.hostPos[:0], src.hostPos...)
+	g.adj = copyRows(g.adj, src.adj)
+	g.hostsAt = copyRows(g.hostsAt, src.hostsAt)
+	if g.opLogOn {
+		g.opOverflow = true
+	}
+}
+
+// copyRows copies src into dst row by row, reusing dst's row buffers.
+func copyRows(dst, src [][]int32) [][]int32 {
+	if cap(dst) < len(src) {
+		dst = append(dst[:cap(dst)], make([][]int32, len(src)-cap(dst))...)
+	}
+	dst = dst[:len(src)]
+	for i, row := range src {
+		dst[i] = append(dst[i][:0], row...)
+	}
+	return dst
 }
 
 // ErrNotConnected is returned by validators and metrics when some pair of

@@ -81,20 +81,14 @@ type IncrementalEvaluator struct {
 	negRow    []int16    // all -1, the row-prefill template
 	scratchF  []float64  // sampleBatchDeltas result scratch
 	scratchR  []int64    // sampleBatchDeltas reach scratch
-	peekSum   []int64    // PeekEnergy per-source aggregates (dirty entries only)
-	peekW     []int64
-	peekRch   []int64
-	hostDelta []int32 // switches with pending host-count changes (peek scratch)
+	hostDelta []int32    // switches with pending host-count changes (peek scratch)
 
-	// Stored-peek state: a peek sweep that fits the row budget keeps the
-	// candidate distance rows, so committing the very same pending state
-	// (an accepted move) copies them into the cache instead of re-sweeping.
-	peekRows  []int16  // candidate rows, slot-major in peekList order
-	peekList  []int32  // sources with stored rows, in sweep order
+	// Peek stamp: the pending state the last peek derived ie.dirty for, so
+	// committing that very state (an accepted move) re-sweeps the stamped
+	// dirty list instead of re-deriving it. Any later markDirty clears it.
 	peekHosts []int32  // host counts at stamp time
 	peekOps   []edgeOp // compacted op log at stamp time
-	peekValid bool     // stored peek matches the pending state
-	peekStore bool     // the in-flight peek sweep stores rows
+	peekValid bool     // ie.dirty is the dirty set of the stamped state
 
 	stats IncStats
 }
@@ -113,9 +107,9 @@ type IncStats struct {
 	// FullRebuilds counts commits that fell back to rebuilding every row
 	// because more than fallbackNum/fallbackDen of the sources were dirty.
 	FullRebuilds int64
-	// StoredPeekReuses counts commits satisfied by copying the stored
-	// peek rows instead of re-sweeping (an accepted move whose peek
-	// already swept the exact pending state).
+	// StoredPeekReuses counts commits that reused the dirty list stamped
+	// by a peek of the exact pending state (an accepted move) instead of
+	// re-deriving it from the op log; the dirty rows are still re-swept.
 	StoredPeekReuses int64
 	// DirtySources accumulates the dirty-set sizes seen at commits;
 	// DirtySources/float64(Syncs*m) is the mean dirty-source fraction.
@@ -131,21 +125,10 @@ type IncStats struct {
 	// exact delta).
 	Estimates      int64
 	ExactEstimates int64
-	// PeekStoreSkips counts peek sweeps whose dirty set exceeded
-	// MaxPeekRowEntries, so no candidate rows were stored and the commit
-	// of an accepted move had to re-sweep. Results are unaffected — this
-	// is the one silent performance downgrade in the evaluator, surfaced
-	// here so CLIs can warn about it.
-	PeekStoreSkips int64
 }
 
 // Stats returns the evaluator's cumulative decision counters.
 func (ie *IncrementalEvaluator) Stats() IncStats { return ie.stats }
-
-type sweepScratch struct {
-	visited, front, next []uint64
-	_                    [16]byte
-}
 
 // MaxIncrementalSwitches bounds the cached distance matrix (int16
 // distances, m^2 entries). 20000 switches cost ~800 MB; beyond that the
@@ -169,12 +152,6 @@ const (
 // coverage, so smaller maxSample requests are rounded up (the sample
 // still fits one 64-lane batch).
 const minExtrapolateSample = 16
-
-// MaxPeekRowEntries bounds the stored-peek row buffer (int16 entries, so
-// 8M entries = 16 MiB). Peeks whose dirty set would exceed it still
-// compute exact aggregates — the commit just re-sweeps as before, and
-// IncStats.PeekStoreSkips counts the skips.
-const MaxPeekRowEntries = 8 << 20
 
 // NewIncrementalEvaluator returns an evaluator with the given number of
 // sweep workers (values below 1 mean 1). Workers only affect throughput,
@@ -239,9 +216,6 @@ func (ie *IncrementalEvaluator) attach(g *Graph) {
 	ie.rowSum = growI64(ie.rowSum, q)
 	ie.rowW = growI64(ie.rowW, q)
 	ie.rowRch = growI64(ie.rowRch, q)
-	ie.peekSum = growI64(ie.peekSum, q)
-	ie.peekW = growI64(ie.peekW, q)
-	ie.peekRch = growI64(ie.peekRch, q)
 	ie.hosts = append(ie.hosts[:0], g.hosts...)
 	if cap(ie.dirtyAt) < q {
 		ie.dirtyAt = make([]uint32, q)
@@ -284,24 +258,14 @@ func (ie *IncrementalEvaluator) sync(g *Graph) {
 	}
 	ie.stats.Syncs++
 	if ie.peekApplicable(g) {
-		// The stamped peek already swept exactly this pending state: the
-		// op log and host counts match the stamp and the current dirty set
-		// is the stamped list, so netDiff and markDirty would only
-		// recompute what the estimate already derived. Commit the stored
-		// rows directly.
+		// The stamped peek already derived this pending state's dirty set
+		// (and checked and compacted its op log); re-sweep that list.
 		ie.stats.StoredPeekReuses++
-		ie.stats.DirtySources += int64(len(ie.peekList))
-		ie.peekValid = false
-		g.oplog = g.oplog[:0]
-		ie.applyPeek()
-		ie.patchHostDeltas(g)
-		ie.hosts = append(ie.hosts[:0], g.hosts...)
-		return
+	} else {
+		ie.netDiff(g.oplog)
+		ie.checkSymmetryPending(g)
+		ie.markDirty()
 	}
-	ie.netDiff(g.oplog)
-	ie.checkSymmetryPending(g)
-	ie.markDirty()
-	usePeek := ie.peekApplicable(g)
 	ie.peekValid = false
 	g.oplog = g.oplog[:0]
 	ie.stats.DirtySources += int64(len(ie.dirty))
@@ -311,13 +275,8 @@ func (ie *IncrementalEvaluator) sync(g *Graph) {
 		ie.rebuildAll()
 		return
 	}
-	if usePeek {
-		ie.stats.StoredPeekReuses++
-		ie.applyPeek()
-	} else {
-		ie.stats.SweptSources += int64(len(ie.dirty))
-		ie.resweep(ie.dirty)
-	}
+	ie.stats.SweptSources += int64(len(ie.dirty))
+	ie.sweepSources(ie.dirty, true)
 	ie.patchHostDeltas(g)
 	ie.hosts = append(ie.hosts[:0], g.hosts...)
 }
@@ -463,6 +422,7 @@ func (ie *IncrementalEvaluator) compactOpLog(g *Graph) {
 // cached distances, certifies that the operation leaves the row unchanged,
 // so the cached distances remain valid for judging the next one.
 func (ie *IncrementalEvaluator) markDirty() {
+	ie.peekValid = false
 	ie.dirty = ie.dirty[:0]
 	ie.dirtyGen++
 	if ie.dirtyGen == 0 { // wrapped: marks are stale, reset
@@ -608,37 +568,43 @@ func (ie *IncrementalEvaluator) rebuildAll() {
 	for s := 0; s < ie.q; s++ {
 		all = append(all, int32(s))
 	}
-	ie.resweep(all)
+	ie.sweepSources(all, true)
 	ie.queue = all[:0]
 }
 
-// resweep recomputes the distance rows and aggregates of the given
-// sources on the current graph.
-func (ie *IncrementalEvaluator) resweep(srcs []int32) {
+// sweepSources sweeps the given sources on the current graph in lane-width
+// batches sharded over the workers. With rows it recomputes their cached
+// distance rows and aggregates; without, it writes nothing and returns the
+// batch totals (the peek path).
+func (ie *IncrementalEvaluator) sweepSources(srcs []int32, rows bool) batchTotals {
+	var t batchTotals
 	if len(srcs) == 0 {
-		return
+		return t
 	}
 	stride := sweepStride(len(srcs))
-	batches := (len(srcs) + stride - 1) / stride
-	workers := ie.workers
-	if workers > batches {
-		workers = batches
-	}
+	workers := min(ie.workers, (len(srcs)+stride-1)/stride)
 	ie.cursor.Store(0)
+	for w := range ie.sweep[:workers] {
+		ie.sweep[w].tot = batchTotals{}
+	}
 	if workers <= 1 {
-		ie.runBatches(&ie.sweep[0], srcs, stride)
-		return
+		ie.runBatches(&ie.sweep[0], srcs, stride, rows)
+	} else {
+		var wg sync.WaitGroup
+		for w := 1; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				ie.runBatches(&ie.sweep[w], srcs, stride, rows)
+			}(w)
+		}
+		ie.runBatches(&ie.sweep[0], srcs, stride, rows)
+		wg.Wait()
 	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ie.runBatches(&ie.sweep[w], srcs, stride)
-		}(w)
+	for w := range ie.sweep[:workers] {
+		t.add(ie.sweep[w].tot)
 	}
-	ie.runBatches(&ie.sweep[0], srcs, stride)
-	wg.Wait()
+	return t
 }
 
 // sweepStride picks the lane width of a sweep: two-word 128-lane batches
@@ -651,27 +617,22 @@ func sweepStride(n int) int {
 	return 64
 }
 
-func (ie *IncrementalEvaluator) runBatches(sc *sweepScratch, srcs []int32, stride int) {
-	m := ie.m
-	if cap(sc.visited) < 2*m {
-		sc.visited = make([]uint64, 2*m)
-		sc.front = make([]uint64, 2*m)
-		sc.next = make([]uint64, 2*m)
-	}
+func (ie *IncrementalEvaluator) runBatches(sc *sweepScratch, srcs []int32, stride int, rows bool) {
+	sc.grow(ie.m)
 	for {
 		idx := int(ie.cursor.Add(1)) - 1
 		lo := idx * stride
 		if lo >= len(srcs) {
 			return
 		}
-		hi := lo + stride
-		if hi > len(srcs) {
-			hi = len(srcs)
-		}
-		if hi-lo <= 64 {
-			ie.sweepRows(sc, srcs[lo:hi])
-		} else {
-			ie.sweepRowsWide(sc, srcs[lo:hi])
+		batch := srcs[lo:min(lo+stride, len(srcs))]
+		switch {
+		case !rows:
+			sc.sweepTotals(ie.g, batch)
+		case len(batch) <= 64:
+			ie.sweepRows(sc, batch)
+		default:
+			ie.sweepRowsWide(sc, batch)
 		}
 	}
 }
@@ -905,11 +866,12 @@ func (ie *IncrementalEvaluator) Energy(g *Graph) (int64, bool) {
 
 // PeekEnergy computes exactly what Energy would return for g — the same
 // integers, bit for bit — without committing anything: the op log stays
-// pending, no distance row is written, and the dirty sources are swept
-// into scratch aggregates only. A rejected candidate move therefore costs
-// ceil(dirty/64) batch sweeps and leaves the cache untouched, so the
-// subsequent rollback is free. ok is false when the cache is not attached
-// to g; the caller then falls back to Energy.
+// pending and nothing cached is written. The dirty sources are swept for
+// their totals only, with no distance rows and no per-source aggregates,
+// so a rejected candidate move costs ceil(dirty/128) totals sweeps and
+// its rollback is free. Committing the peeked state (an accepted move)
+// reuses the peek's dirty list and re-sweeps those rows. ok is false when
+// the cache is not attached to g; the caller then falls back to Energy.
 func (ie *IncrementalEvaluator) PeekEnergy(g *Graph) (energy int64, connected, ok bool) {
 	if !ie.synced(g) {
 		return 0, false, false
@@ -919,19 +881,16 @@ func (ie *IncrementalEvaluator) PeekEnergy(g *Graph) (energy int64, connected, o
 	ie.checkSymmetryPending(g)
 	ie.compactOpLog(g)
 	ie.markDirty()
-	if len(ie.dirty) > 0 {
-		ie.peekSweep(g, ie.dirty)
-		ie.stampPeek(g, ie.dirty, ie.peekStore)
-	} else {
-		ie.stampPeek(g, nil, true)
-	}
+	dirty := ie.sweepSources(ie.dirty, false)
+	ie.stampPeek(g)
 	ie.hostDelta = ie.hostDelta[:0]
 	for b := 0; b < ie.m; b++ {
 		if g.hosts[b] != ie.hosts[b] {
 			ie.hostDelta = append(ie.hostDelta, int32(b))
 		}
 	}
-	var intraTotal, ordered, orderedReach, attached int64
+	var intraTotal, attached int64
+	ordered, orderedReach := dirty.sum, dirty.reach
 	bearing := 0
 	for s := 0; s < ie.m; s++ {
 		k := int64(g.hosts[s])
@@ -941,33 +900,30 @@ func (ie *IncrementalEvaluator) PeekEnergy(g *Graph) (energy int64, connected, o
 		bearing++
 		attached += k
 		intraTotal += k * (k - 1)
-		if s >= ie.q {
-			continue // orbit mode: images fold via the sym scaling below
+		if s >= ie.q || ie.dirtyAt[s] == ie.dirtyGen {
+			// Orbit images fold via the sym scaling below; dirty rows are
+			// in the sweep totals.
+			continue
 		}
-		var sum, reach int64
-		if ie.dirtyAt[s] == ie.dirtyGen {
-			sum, reach = ie.peekSum[s], ie.peekRch[s]
-		} else {
-			sum, reach = ie.rowSum[s], ie.rowRch[s]
-			// Clean rows hold the current distances; patch their cached
-			// aggregates for pending host-count deltas exactly as sync
-			// would after committing.
-			for _, b := range ie.hostDelta {
-				if int(b) == s {
-					continue
-				}
-				d := ie.row(s)[b]
-				if d < 0 {
-					continue
-				}
-				sum += int64(g.hosts[b]-ie.hosts[b]) * int64(d+2)
-				wasBearing, isBearing := ie.hosts[b] > 0, g.hosts[b] > 0
-				if wasBearing != isBearing {
-					if isBearing {
-						reach++
-					} else {
-						reach--
-					}
+		// Clean rows hold the current distances; patch their cached
+		// aggregates for pending host-count deltas exactly as sync would
+		// after committing.
+		sum, reach := ie.rowSum[s], ie.rowRch[s]
+		for _, b := range ie.hostDelta {
+			if int(b) == s {
+				continue
+			}
+			d := ie.row(s)[b]
+			if d < 0 {
+				continue
+			}
+			sum += int64(g.hosts[b]-ie.hosts[b]) * int64(d+2)
+			wasBearing, isBearing := ie.hosts[b] > 0, g.hosts[b] > 0
+			if wasBearing != isBearing {
+				if isBearing {
+					reach++
+				} else {
+					reach--
 				}
 			}
 		}
@@ -991,34 +947,26 @@ func (ie *IncrementalEvaluator) PeekEnergy(g *Graph) (energy int64, connected, o
 	return intraTotal + ordered/2, true, true
 }
 
-// stampPeek records the just-swept peek's identity so a commit of the
-// same pending state can reuse its stored rows.
-func (ie *IncrementalEvaluator) stampPeek(g *Graph, srcs []int32, stored bool) {
-	ie.peekValid = stored
-	if !stored {
-		return
-	}
-	ie.peekList = append(ie.peekList[:0], srcs...)
+// stampPeek records the pending state the just-derived ie.dirty belongs
+// to, so a commit of the same state can skip re-deriving it.
+func (ie *IncrementalEvaluator) stampPeek(g *Graph) {
+	ie.peekValid = true
 	ie.peekOps = append(ie.peekOps[:0], g.oplog...)
 	ie.peekHosts = append(ie.peekHosts[:0], g.hosts...)
 }
 
-// peekApplicable reports whether the stored peek describes exactly the
-// pending state sync is about to commit: the identical op log (content,
-// not just length — the ops plus the host counts pin the candidate graph,
-// since the cache itself has not moved between the two calls), the
-// identical host counts, and the identical dirty set in the same order.
+// peekApplicable reports whether the stamp describes exactly the pending
+// state sync is about to commit: the identical op log (content, not just
+// length — the ops plus the host counts pin the candidate graph, since the
+// cache itself has not moved between the two calls) and the identical
+// host counts. ie.dirty is then still the stamped state's dirty set,
+// because every markDirty since would have cleared the stamp.
 func (ie *IncrementalEvaluator) peekApplicable(g *Graph) bool {
-	if !ie.peekValid || len(ie.peekOps) != len(g.oplog) || len(ie.peekList) != len(ie.dirty) {
+	if !ie.peekValid || len(ie.peekOps) != len(g.oplog) {
 		return false
 	}
 	for i, op := range g.oplog {
 		if ie.peekOps[i] != op {
-			return false
-		}
-	}
-	for i, s := range ie.dirty {
-		if ie.peekList[i] != s {
 			return false
 		}
 	}
@@ -1028,288 +976,6 @@ func (ie *IncrementalEvaluator) peekApplicable(g *Graph) bool {
 		}
 	}
 	return true
-}
-
-// applyPeek commits the stored peek: every dirty source's candidate row
-// and aggregates are copied into the cache instead of re-sweeping. The
-// copied values are the exact integers resweep would recompute.
-func (ie *IncrementalEvaluator) applyPeek() {
-	for i, s := range ie.peekList {
-		copy(ie.row(int(s)), ie.peekRows[i*ie.m:(i+1)*ie.m])
-		ie.rowSum[s] = ie.peekSum[s]
-		ie.rowW[s] = ie.peekW[s]
-		ie.rowRch[s] = ie.peekRch[s]
-	}
-}
-
-// peekSweep computes the candidate aggregates of the given sources into
-// the peek scratch, in 64-lane batches sharded over workers like resweep.
-// When the dirty set fits the row budget the candidate rows are stored
-// alongside, ready for applyPeek; nothing cached is written either way.
-func (ie *IncrementalEvaluator) peekSweep(g *Graph, srcs []int32) {
-	ie.peekStore = len(srcs)*ie.m <= MaxPeekRowEntries
-	if !ie.peekStore {
-		ie.stats.PeekStoreSkips++
-	}
-	if ie.peekStore {
-		need := len(srcs) * ie.m
-		if cap(ie.peekRows) < need {
-			ie.peekRows = make([]int16, need)
-		}
-		ie.peekRows = ie.peekRows[:need]
-	}
-	stride := sweepStride(len(srcs))
-	batches := (len(srcs) + stride - 1) / stride
-	workers := ie.workers
-	if workers > batches {
-		workers = batches
-	}
-	ie.cursor.Store(0)
-	if workers <= 1 {
-		ie.runPeekBatches(&ie.sweep[0], srcs, stride)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ie.runPeekBatches(&ie.sweep[w], srcs, stride)
-		}(w)
-	}
-	ie.runPeekBatches(&ie.sweep[0], srcs, stride)
-	wg.Wait()
-}
-
-func (ie *IncrementalEvaluator) runPeekBatches(sc *sweepScratch, srcs []int32, stride int) {
-	m := ie.m
-	if cap(sc.visited) < 2*m {
-		sc.visited = make([]uint64, 2*m)
-		sc.front = make([]uint64, 2*m)
-		sc.next = make([]uint64, 2*m)
-	}
-	for {
-		idx := int(ie.cursor.Add(1)) - 1
-		lo := idx * stride
-		if lo >= len(srcs) {
-			return
-		}
-		hi := lo + stride
-		if hi > len(srcs) {
-			hi = len(srcs)
-		}
-		if hi-lo <= 64 {
-			ie.peekBatch(sc, srcs[lo:hi], lo)
-		} else {
-			ie.peekBatchWide(sc, srcs[lo:hi], lo)
-		}
-	}
-}
-
-// peekBatch is sweepRows writing into the peek scratch instead of the
-// cache: one bit-parallel BFS accumulating each lane's aggregates against
-// the graph's current host counts, plus the candidate rows themselves when
-// the sweep is storing (base is the batch's slot offset into peekRows).
-func (ie *IncrementalEvaluator) peekBatch(sc *sweepScratch, batch []int32, base int) {
-	g := ie.g
-	m := ie.m
-	visited := sc.visited[:m]
-	front := sc.front[:m]
-	next := sc.next[:m]
-	for i := range visited {
-		visited[i] = 0
-		front[i] = 0
-	}
-	var sumKD, w, prevW, rch [64]int64
-	var rows [64][]int16
-	for bit, s := range batch {
-		if ie.peekStore {
-			row := ie.peekRows[(base+bit)*m : (base+bit+1)*m]
-			copy(row, ie.negRow)
-			row[s] = 0
-			rows[bit] = row
-		}
-		visited[s] |= 1 << uint(bit)
-		front[s] |= 1 << uint(bit)
-	}
-	for level := int16(1); ; level++ {
-		for i := range next {
-			next[i] = 0
-		}
-		active := false
-		for v := 0; v < m; v++ {
-			fv := front[v]
-			if fv == 0 {
-				continue
-			}
-			// Unconditionally OR the frontier into next: the settle pass
-			// below masks off already-visited bits, so pre-filtering here
-			// would only add a visited load and a branch per edge word.
-			for _, u := range g.adj[v] {
-				next[u] |= fv
-			}
-		}
-		for v := 0; v < m; v++ {
-			nv := next[v] &^ visited[v]
-			if nv == 0 {
-				next[v] = 0
-				continue
-			}
-			next[v] = nv
-			visited[v] |= nv
-			active = true
-			kv := int64(g.hosts[v])
-			if kv > 0 {
-				if ie.peekStore {
-					for mask := nv; mask != 0; mask &= mask - 1 {
-						bit := trailingZeros(mask)
-						rows[bit][v] = level
-						w[bit] += kv
-						rch[bit]++
-					}
-				} else {
-					for mask := nv; mask != 0; mask &= mask - 1 {
-						bit := trailingZeros(mask)
-						w[bit] += kv
-						rch[bit]++
-					}
-				}
-			} else if ie.peekStore {
-				for mask := nv; mask != 0; mask &= mask - 1 {
-					rows[trailingZeros(mask)][v] = level
-				}
-			}
-		}
-		if !active {
-			front, next = next, front
-			break
-		}
-		// Per-level weight-delta fold; see sweepRows.
-		for bit := range batch {
-			if d := w[bit] - prevW[bit]; d != 0 {
-				sumKD[bit] += int64(level) * d
-				prevW[bit] = w[bit]
-			}
-		}
-		front, next = next, front
-	}
-	for bit, s := range batch {
-		ie.peekSum[s] = sumKD[bit] + 2*w[bit]
-		ie.peekW[s] = w[bit]
-		ie.peekRch[s] = rch[bit]
-	}
-}
-
-// peekBatchWide is peekBatch over two mask words — see sweepRowsWide for
-// the lane layout. base is the batch's slot offset into peekRows.
-func (ie *IncrementalEvaluator) peekBatchWide(sc *sweepScratch, batch []int32, base int) {
-	g := ie.g
-	m := ie.m
-	visited := sc.visited[:2*m]
-	front := sc.front[:2*m]
-	next := sc.next[:2*m]
-	for i := range visited {
-		visited[i] = 0
-		front[i] = 0
-	}
-	var sumKD, w, prevW, rch [128]int64
-	var rows [128][]int16
-	for i, s := range batch {
-		if ie.peekStore {
-			row := ie.peekRows[(base+i)*m : (base+i+1)*m]
-			copy(row, ie.negRow)
-			row[s] = 0
-			rows[i] = row
-		}
-		j := 2*int(s) + i>>6
-		visited[j] |= 1 << uint(i&63)
-		front[j] |= 1 << uint(i&63)
-	}
-	for level := int16(1); ; level++ {
-		for i := range next {
-			next[i] = 0
-		}
-		active := false
-		for v := 0; v < m; v++ {
-			i0 := 2 * v
-			f0, f1 := front[i0], front[i0+1]
-			if f0|f1 == 0 {
-				continue
-			}
-			// Unconditional OR; the settle pass masks visited bits (see the
-			// narrow variant).
-			for _, u := range g.adj[v] {
-				j0 := 2 * int(u)
-				next[j0] |= f0
-				next[j0+1] |= f1
-			}
-		}
-		for v := 0; v < m; v++ {
-			i0 := 2 * v
-			nv0 := next[i0] &^ visited[i0]
-			nv1 := next[i0+1] &^ visited[i0+1]
-			if nv0|nv1 == 0 {
-				next[i0], next[i0+1] = 0, 0
-				continue
-			}
-			next[i0], next[i0+1] = nv0, nv1
-			visited[i0] |= nv0
-			visited[i0+1] |= nv1
-			active = true
-			kv := int64(g.hosts[v])
-			if kv > 0 {
-				if ie.peekStore {
-					for mask := nv0; mask != 0; mask &= mask - 1 {
-						lane := trailingZeros(mask)
-						rows[lane][v] = level
-						w[lane] += kv
-						rch[lane]++
-					}
-					for mask := nv1; mask != 0; mask &= mask - 1 {
-						lane := 64 + trailingZeros(mask)
-						rows[lane][v] = level
-						w[lane] += kv
-						rch[lane]++
-					}
-				} else {
-					for mask := nv0; mask != 0; mask &= mask - 1 {
-						lane := trailingZeros(mask)
-						w[lane] += kv
-						rch[lane]++
-					}
-					for mask := nv1; mask != 0; mask &= mask - 1 {
-						lane := 64 + trailingZeros(mask)
-						w[lane] += kv
-						rch[lane]++
-					}
-				}
-			} else if ie.peekStore {
-				for mask := nv0; mask != 0; mask &= mask - 1 {
-					rows[trailingZeros(mask)][v] = level
-				}
-				for mask := nv1; mask != 0; mask &= mask - 1 {
-					rows[64+trailingZeros(mask)][v] = level
-				}
-			}
-		}
-		if !active {
-			front, next = next, front
-			break
-		}
-		// Per-level weight-delta fold; see sweepRows.
-		for lane := range batch {
-			if d := w[lane] - prevW[lane]; d != 0 {
-				sumKD[lane] += int64(level) * d
-				prevW[lane] = w[lane]
-			}
-		}
-		front, next = next, front
-	}
-	for i, s := range batch {
-		ie.peekSum[s] = sumKD[i] + 2*w[i]
-		ie.peekW[s] = w[i]
-		ie.peekRch[s] = rch[i]
-	}
 }
 
 // Evaluate computes the full Metrics from the cached rows — bit-identical
@@ -1590,25 +1256,26 @@ func (ie *IncrementalEvaluator) estimateDelta(g *Graph, maxSample int, conf floa
 	}
 	if sampleN == est.Dirty {
 		// Full coverage: the sample is the whole dirty set, so the sweep
-		// runs through the peek machinery — sharded over workers, storing
-		// the candidate rows — and the bounds collapse to the exact delta.
-		// An immediately following commit (an accepted move) then applies
-		// the stored rows instead of re-sweeping.
-		ie.peekSweep(g, ie.dirty)
-		ie.stampPeek(g, ie.dirty, ie.peekStore)
-		// Any bearing dirty row doubles as the connectivity pre-check: it
+		// runs through the peek's totals sweep — sharded over workers —
+		// and the bounds collapse to the exact delta. An immediately
+		// following commit (an accepted move) then reuses the stamped
+		// dirty list.
+		dirty := ie.sweepSources(ie.dirty, false)
+		ie.stampPeek(g)
+		// Every bearing dirty row doubles as the connectivity pre-check: it
 		// reaches every other bearing switch exactly when the graph is
-		// connected.
-		probe := int32(-1)
+		// connected, so the graph is connected exactly when the bearing
+		// dirty rows reach bearing-1 switches each.
+		var bearingDirty, oldSum int64
 		for _, src := range ie.dirty {
 			if g.hosts[src] > 0 {
-				probe = src
-				break
+				bearingDirty++
 			}
+			oldSum += int64(ie.hosts[src]) * ie.rowSum[src]
 		}
 		var connected bool
-		if probe >= 0 {
-			connected = ie.peekRch[probe] == int64(bearing-1)
+		if bearingDirty > 0 {
+			connected = dirty.reach == bearingDirty*int64(bearing-1)
 		} else {
 			connected, _ = ie.bearingConnectedNow(g)
 		}
@@ -1622,14 +1289,9 @@ func (ie *IncrementalEvaluator) estimateDelta(g *Graph, maxSample int, conf floa
 		}
 		est.Base = ie.CachedEnergy()
 		deltaIntra, exactOrdered := ie.hostDeltaTerms(g)
-		var sampleSum float64
-		for _, src := range ie.dirty {
-			sampleSum += float64(int64(g.hosts[src]))*float64(ie.peekSum[src]) -
-				float64(int64(ie.hosts[src]))*float64(ie.rowSum[src])
-		}
 		est.Sampled = sampleN
 		est.Bounded, est.Exact = true, true
-		est.Lo = deltaIntra + (exactOrdered+sampleSum)/2
+		est.Lo = deltaIntra + (exactOrdered+float64(dirty.sum-oldSum))/2
 		est.Hi = est.Lo
 		return est
 	}
@@ -1758,11 +1420,7 @@ func (ie *IncrementalEvaluator) hostDeltaTerms(g *Graph) (deltaIntra, exactOrder
 func (ie *IncrementalEvaluator) sampleBatchDeltas(g *Graph, batch []int32) ([]float64, []int64) {
 	m := ie.m
 	sc := &ie.sweep[0]
-	if cap(sc.visited) < m {
-		sc.visited = make([]uint64, m)
-		sc.front = make([]uint64, m)
-		sc.next = make([]uint64, m)
-	}
+	sc.grow(m)
 	visited := sc.visited[:m]
 	front := sc.front[:m]
 	next := sc.next[:m]

@@ -470,7 +470,7 @@ func FuzzIncrementalEval(f *testing.F) {
 }
 
 // TestIncrementalStats checks the introspection counters against a
-// scripted interaction: attach, commit, stored-peek reuse, estimate,
+// scripted interaction: attach, commit, peek-stamp reuse, estimate,
 // and a forced full-rebuild fallback all leave their fingerprints.
 func TestIncrementalStats(t *testing.T) {
 	g, err := RandomConnected(32, 16, 10, rng.New(17))
@@ -497,8 +497,9 @@ func TestIncrementalStats(t *testing.T) {
 		t.Fatalf("after commit: %+v", s)
 	}
 
-	// Peek then commit the identical state: the stored rows must be
-	// reused rather than re-swept.
+	// Peek then commit the identical state: the commit must reuse the
+	// peek's stamped dirty list, which a host move leaves empty, so no row
+	// is re-swept.
 	if err := g.MoveHost(0, pickTarget(t, g)); err != nil {
 		t.Fatal(err)
 	}
@@ -509,10 +510,27 @@ func TestIncrementalStats(t *testing.T) {
 	ie.Energy(g)
 	s = ie.Stats()
 	if s.Peeks != 1 || s.StoredPeekReuses != 1 {
-		t.Fatalf("stored peek not reused: %+v", s)
+		t.Fatalf("peek stamp not reused: %+v", s)
 	}
 	if s.SweptSources != sweptBefore {
 		t.Fatalf("peek commit swept rows: %+v", s)
+	}
+
+	// After a rewire the reused dirty list is not empty: the commit
+	// re-sweeps exactly those rows (or everything, past the fallback).
+	rewire(t, g, rng.New(3))
+	if _, _, ok := ie.PeekEnergy(g); !ok {
+		t.Fatal("peek refused")
+	}
+	wantSwept := int64(len(ie.dirty))
+	if len(ie.dirty)*fallbackDen > g.Switches()*fallbackNum {
+		wantSwept = int64(g.Switches())
+	}
+	sweptBefore = ie.Stats().SweptSources
+	ie.Energy(g)
+	s = ie.Stats()
+	if s.StoredPeekReuses != 2 || wantSwept == 0 || s.SweptSources-sweptBefore != wantSwept {
+		t.Fatalf("rewire commit re-swept %d rows, want %d from the reused stamp: %+v", s.SweptSources-sweptBefore, wantSwept, s)
 	}
 
 	// An estimate counts, and with a generous sample it is exact.
@@ -583,60 +601,4 @@ func pickTarget(t *testing.T, g *Graph) int {
 	}
 	t.Fatal("no legal host move")
 	return -1
-}
-
-// TestPeekStoreSkipAtRowBudget pins the evaluator's one silent
-// performance downgrade: a peek whose dirty set exceeds MaxPeekRowEntries
-// stores no candidate rows — the commit re-sweeps — but still computes
-// exact aggregates, and IncStats.PeekStoreSkips counts the event so CLIs
-// can warn. The graph is a hub-plus-ring sized so that removing one spoke
-// dirties essentially every source: with m=3000 host-bearing switches,
-// dirty*m ≈ 9M > 8M entries.
-func TestPeekStoreSkipAtRowBudget(t *testing.T) {
-	const m = 3000
-	g := New(m, m, m)
-	for s := 0; s < m; s++ {
-		if err := g.AttachHost(s, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for s := 1; s < m; s++ {
-		if err := g.Connect(0, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for s := 1; s < m-1; s++ {
-		if err := g.Connect(s, s+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.Connect(m-1, 1); err != nil {
-		t.Fatal(err)
-	}
-
-	ie := NewIncrementalEvaluator(4)
-	ie.Energy(g) // attach
-	if got := ie.Stats().PeekStoreSkips; got != 0 {
-		t.Fatalf("PeekStoreSkips before any peek: %d", got)
-	}
-	if err := g.Disconnect(0, m/2); err != nil {
-		t.Fatal(err)
-	}
-	e, conn, ok := ie.PeekEnergy(g)
-	if !ok {
-		t.Fatal("PeekEnergy not attached")
-	}
-	if got := ie.Stats().PeekStoreSkips; got != 1 {
-		t.Fatalf("PeekStoreSkips after oversized peek: %d, want 1", got)
-	}
-	// Results are unaffected: the peek and the subsequent commit agree
-	// with from-scratch evaluation.
-	want := g.Evaluate()
-	if conn != want.Connected || e != want.TotalPath {
-		t.Fatalf("oversized peek (%d,%v) != evaluate %+v", e, conn, want)
-	}
-	ce, cok := ie.Energy(g)
-	if cok != want.Connected || ce != want.TotalPath {
-		t.Fatalf("commit after oversized peek (%d,%v) != evaluate %+v", ce, cok, want)
-	}
 }

@@ -132,117 +132,11 @@ func (g *Graph) finishMetrics(total, reachable int64, diam int, connected bool) 
 
 const inf = 1e30 // sentinel h-ASPL for disconnected graphs
 
-// Evaluate computes the metrics using bit-parallel BFS (64 sources per
-// word). For every host-bearing switch pair (a, b) it accumulates
-// k_a * k_b * (d(a,b) + 2) plus 2 * C(k_a, 2) for intra-switch pairs.
-func (g *Graph) Evaluate() Metrics {
-	m := len(g.adj)
-	// Host-bearing switches are the only BFS sources and targets we weight.
-	srcs := make([]int32, 0, m)
-	var total, pairs, attached int64
-	diam := 0
-	for s := 0; s < m; s++ {
-		k := int64(g.hosts[s])
-		if k > 0 {
-			srcs = append(srcs, int32(s))
-			attached += k
-			total += k * (k - 1) // 2 * C(k,2)
-			pairs += k * (k - 1) / 2
-			if k >= 2 && diam < 2 {
-				diam = 2
-			}
-		}
-	}
-	allAttached := attached == int64(g.n)
-	if len(srcs) == 0 {
-		return g.finishMetrics(0, 0, 0, allAttached && g.n <= 1)
-	}
-	if len(srcs) == 1 {
-		// All attached hosts on one switch.
-		return g.finishMetrics(total, pairs, diam, allAttached)
-	}
-
-	visited := make([]uint64, m)
-	front := make([]uint64, m)
-	next := make([]uint64, m)
-	// pairSum accumulates ordered (source, target) weighted distances; we
-	// halve at the end. reachedPairs verifies connectivity;
-	// orderedWeighted counts ordered host pairs for ReachablePairs.
-	var orderedSum int64
-	var reachablePairs, orderedWeighted int64
-	wantPairs := int64(len(srcs)) * int64(len(srcs)-1)
-
-	for base := 0; base < len(srcs); base += 64 {
-		batch := srcs[base:min(base+64, len(srcs))]
-		for i := range visited {
-			visited[i] = 0
-			front[i] = 0
-		}
-		for bit, s := range batch {
-			visited[s] |= 1 << uint(bit)
-			front[s] |= 1 << uint(bit)
-		}
-		for level := 1; ; level++ {
-			for i := range next {
-				next[i] = 0
-			}
-			active := false
-			for v := 0; v < m; v++ {
-				fv := front[v]
-				if fv == 0 {
-					continue
-				}
-				for _, u := range g.adj[v] {
-					nu := fv &^ visited[u]
-					if nu != 0 {
-						next[u] |= nu
-					}
-				}
-			}
-			for v := 0; v < m; v++ {
-				nv := next[v] &^ visited[v]
-				if nv == 0 {
-					next[v] = 0
-					continue
-				}
-				next[v] = nv
-				visited[v] |= nv
-				active = true
-				kv := int64(g.hosts[v])
-				if kv > 0 {
-					// Weight by sum of source host counts present in nv.
-					var ks int64
-					cnt := int64(0)
-					for mask := nv; mask != 0; mask &= mask - 1 {
-						bit := trailingZeros(mask)
-						ks += int64(g.hosts[batch[bit]])
-						cnt++
-					}
-					orderedSum += kv * ks * int64(level+2)
-					reachablePairs += cnt
-					orderedWeighted += kv * ks
-					if level+2 > diam {
-						diam = level + 2
-					}
-				}
-			}
-			front, next = next, front
-			if !active {
-				break
-			}
-		}
-		// Each source reaches itself at distance 0; exclude self pairs.
-	}
-	// reachablePairs counted ordered (src -> host-bearing target) excluding
-	// targets at distance 0 (the source itself) and excluding co-located
-	// sources? No: every distinct host-bearing pair (a,b) with a path is
-	// counted exactly twice (once per direction), at level d(a,b) >= 1.
-	// Pairs with d(a,b) == 0 cannot occur for distinct switches.
-	connected := reachablePairs == wantPairs && allAttached
-	total += orderedSum / 2
-	pairs += orderedWeighted / 2
-	return g.finishMetrics(total, pairs, diam, connected)
-}
+// Evaluate computes the metrics using bit-parallel BFS, 64 or 128 sources
+// per sweep. For every host-bearing switch pair (a, b) it accumulates
+// k_a * k_b * (d(a,b) + 2) plus 2 * C(k_a, 2) for intra-switch pairs. It
+// is the serial Evaluator, built and dropped per call.
+func (g *Graph) Evaluate() Metrics { return g.EvaluateParallel(1) }
 
 func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }
 

@@ -1,6 +1,7 @@
 package hsgraph
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/rng"
@@ -101,6 +102,52 @@ func TestStateRoundTripPreservesOrder(t *testing.T) {
 	mutate(t, g, r1, 100)
 	mutate(t, restored, r2, 100)
 	sameStorage(t, g, restored)
+}
+
+// TestCopyFromPreservesOrder: CopyFrom into a graph of another shape, and
+// again into one already holding a graph, reproduces Clone's storage order
+// and state bytes, stays independent of its source under further
+// mutation, and invalidates an evaluator attached to the destination.
+func TestCopyFromPreservesOrder(t *testing.T) {
+	rnd := rng.New(29)
+	dst, err := RandomConnected(96, 30, 10, rnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ie := NewIncrementalEvaluator(1)
+	ie.Energy(dst)
+	for _, shape := range [][3]int{{96, 30, 10}, {48, 12, 8}, {120, 40, 9}} {
+		g, err := RandomConnected(shape[0], shape[1], shape[2], rnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(t, g, rnd, 300)
+		// The second copy lands on a graph a few moves away, where only
+		// the changed edge positions are re-indexed.
+		for _, steps := range []int{0, 3} {
+			mutate(t, g, rnd, steps)
+			dst.CopyFrom(g)
+			sameStorage(t, g, dst)
+			if len(dst.posInList) != len(dst.edges) {
+				t.Fatalf("shape %v: %d indexed edges, %d edges", shape, len(dst.posInList), len(dst.edges))
+			}
+			for i, key := range dst.edges {
+				if dst.posInList[key] != int32(i) {
+					t.Fatalf("shape %v: edge %v indexed at %d, stored at %d", shape, key, dst.posInList[key], i)
+				}
+			}
+			if !bytes.Equal(g.MarshalState(), dst.MarshalState()) {
+				t.Fatalf("shape %v: CopyFrom state bytes differ from the source", shape)
+			}
+		}
+		if e, _ := ie.Energy(dst); e != g.Evaluate().TotalPath {
+			t.Fatalf("shape %v: evaluator attached to the destination kept its stale cache", shape)
+		}
+		r1, r2 := rng.New(5), rng.New(5)
+		mutate(t, g, r1, 100)
+		mutate(t, dst, r2, 100)
+		sameStorage(t, g, dst)
+	}
 }
 
 func TestUnmarshalStateRejectsCorruption(t *testing.T) {

@@ -129,17 +129,17 @@ func (oe *OrbitEvaluator) Evaluate(g *Graph) (Metrics, error) {
 		return g.finishMetrics(total, pairs, diam, allAttached), nil
 	}
 	sym := int64(oe.sym)
-	orderedSum, reach, orderedWeighted, sweepDiam := oe.ev.runSweep(g)
-	if sweepDiam > diam {
-		diam = sweepDiam
+	t := oe.ev.runSweep(g)
+	if t.depth > 0 {
+		diam = max(diam, t.depth+2)
 	}
 	// Orbit images contribute row aggregates identical to their
 	// representative's, so the full ordered sums are sym times the
 	// representative sums; connectivity compares the scaled ordered
 	// reachable pair count against bearing·(bearing−1).
-	connected := sym*reach == int64(bearing)*int64(bearing-1) && allAttached
-	total += sym * orderedSum / 2
-	pairs += sym * orderedWeighted / 2
+	connected := sym*t.reach == int64(bearing)*int64(bearing-1) && allAttached
+	total += sym * t.sum / 2
+	pairs += sym * t.wpairs / 2
 	return g.finishMetrics(total, pairs, diam, connected), nil
 }
 
@@ -162,7 +162,7 @@ func (oe *OrbitEvaluator) Energy(g *Graph) (int64, bool, error) {
 		return 0, false, nil
 	}
 	sym := int64(oe.sym)
-	orderedSum, reach, _, _ := oe.ev.runSweep(g)
-	connected := sym*reach == int64(bearing)*int64(bearing-1)
-	return total + sym*orderedSum/2, connected, nil
+	t := oe.ev.runSweep(g)
+	connected := sym*t.reach == int64(bearing)*int64(bearing-1)
+	return total + sym*t.sum/2, connected, nil
 }

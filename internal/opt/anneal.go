@@ -187,13 +187,12 @@ type Result struct {
 	EnergyTrace       []float64
 	EnergyTraceStride int
 	// Eval snapshots the evaluation-ladder counters at the end of the run
-	// (all zero in EvalExact mode, and reset by a resume — see telemetry).
-	// CLIs use it to surface silent performance degradations such as
-	// IncStats.PeekStoreSkips. Excluded from JSON: the counters are
-	// in-process diagnostics, not part of the run's deterministic result
-	// (a resumed run re-attaches the cache and counts differently), so
-	// serializing them would break the bit-identical resume contract that
-	// result payloads carry.
+	// (all zero in EvalExact mode, and reset by a resume — see telemetry;
+	// they include the temperature calibration's peeks). Excluded from
+	// JSON: the counters are in-process diagnostics, not part of the run's
+	// deterministic result (a resumed run re-attaches the cache and counts
+	// differently), so serializing them would break the bit-identical
+	// resume contract that result payloads carry.
 	Eval EvalStats `json:"-"`
 }
 
@@ -302,6 +301,17 @@ func Anneal(start *hsgraph.Graph, o Options) (*hsgraph.Graph, Result, error) {
 	}
 	ev := hsgraph.NewEvaluator(o.Workers)
 	defer ev.Close()
+	// The cache-backed modes share one incremental evaluator between the
+	// temperature calibration and the loop, so its distance matrix is
+	// allocated once.
+	var inc *hsgraph.IncrementalEvaluator
+	if o.Eval != EvalExact {
+		sym := 1
+		if o.Eval == EvalSymmetric {
+			sym = o.Symmetry
+		}
+		inc = hsgraph.NewOrbitIncrementalEvaluator(max(o.Workers, 1), sym)
+	}
 
 	if o.Resume && o.CheckpointPath != "" {
 		if _, err := os.Stat(o.CheckpointPath); err == nil {
@@ -313,7 +323,7 @@ func Anneal(start *hsgraph.Graph, o Options) (*hsgraph.Graph, Result, error) {
 			}
 			sp.SetF("iter", float64(st.iter))
 			sp.End()
-			return runAnneal(st, o, ev)
+			return runAnneal(st, o, ev, inc)
 		} else if !errors.Is(err, os.ErrNotExist) {
 			return nil, Result{}, fmt.Errorf("opt: resume: %w", err)
 		}
@@ -321,19 +331,20 @@ func Anneal(start *hsgraph.Graph, o Options) (*hsgraph.Graph, Result, error) {
 
 	applyDefaults(&o)
 	sp := o.Span.Child("anneal.init")
-	st, err := newAnnealState(start, &o, ev)
+	st, err := newAnnealState(start, &o, ev, inc)
 	if err != nil {
 		sp.Fail(err)
 		return nil, Result{}, err
 	}
 	sp.End()
-	return runAnneal(st, o, ev)
+	return runAnneal(st, o, ev, inc)
 }
 
 // newAnnealState builds the iteration-zero state: evaluates the start
 // graph, calibrates the temperature bounds, and seeds the RNG. It mutates
-// o, resolving InitialTemp/FinalTemp to their effective values.
-func newAnnealState(start *hsgraph.Graph, o *Options, ev *hsgraph.Evaluator) (*annealState, error) {
+// o, resolving InitialTemp/FinalTemp to their effective values. inc is the
+// run's incremental evaluator (nil in exact mode).
+func newAnnealState(start *hsgraph.Graph, o *Options, ev *hsgraph.Evaluator, inc *hsgraph.IncrementalEvaluator) (*annealState, error) {
 	st := &annealState{rnd: rng.New(o.Seed)}
 	if o.Eval == EvalLadder {
 		// A private stream, derived from the seed but never touching the
@@ -354,7 +365,7 @@ func newAnnealState(start *hsgraph.Graph, o *Options, ev *hsgraph.Evaluator) (*a
 		o.InitialTemp, o.FinalTemp = hillClimbTemp, hillClimbTemp
 	}
 	if o.InitialTemp == 0 {
-		o.InitialTemp = calibrateTemp(st.g, o.Moves, o.Symmetry, st.rnd.Split(), ev)
+		o.InitialTemp = calibrateTemp(st.g, o.Moves, o.Symmetry, st.rnd.Split(), ev, inc)
 	}
 	if o.FinalTemp == 0 {
 		o.FinalTemp = o.InitialTemp / 200
@@ -370,8 +381,8 @@ func newAnnealState(start *hsgraph.Graph, o *Options, ev *hsgraph.Evaluator) (*a
 
 // runAnneal drives the annealing loop from st (iteration st.iter) to
 // o.Iterations. o must be fully resolved (validateOptions applied, temps
-// concrete).
-func runAnneal(st *annealState, o Options, ev *hsgraph.Evaluator) (*hsgraph.Graph, Result, error) {
+// concrete); inc is the run's incremental evaluator (nil in exact mode).
+func runAnneal(st *annealState, o Options, ev *hsgraph.Evaluator, inc *hsgraph.IncrementalEvaluator) (*hsgraph.Graph, Result, error) {
 	res := &st.res
 	cool := math.Pow(o.FinalTemp/o.InitialTemp, 1/math.Max(1, float64(o.Iterations-1)))
 	linStep := (o.InitialTemp - o.FinalTemp) / math.Max(1, float64(o.Iterations-1))
@@ -384,16 +395,8 @@ func runAnneal(st *annealState, o Options, ev *hsgraph.Evaluator) (*hsgraph.Grap
 	// draw per connected uphill candidate), so the accepted-move sequence
 	// is seed-determined, not mode-determined.
 	var ladder *ladderEval
-	if o.Eval != EvalExact {
-		workers := o.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		sym := 1
-		if o.Eval == EvalSymmetric {
-			sym = o.Symmetry
-		}
-		ladder = &ladderEval{inc: hsgraph.NewOrbitIncrementalEvaluator(workers, sym), estRnd: st.estRnd}
+	if inc != nil {
+		ladder = &ladderEval{inc: inc, estRnd: st.estRnd}
 	}
 	st.tel.ladder = ladder
 
@@ -480,7 +483,7 @@ func runAnneal(st *annealState, o Options, ev *hsgraph.Evaluator) (*hsgraph.Grap
 		}
 		if st.energy < st.bestEnergy {
 			st.bestEnergy = st.energy
-			st.best = st.g.Clone()
+			st.best.CopyFrom(st.g)
 		}
 		if (iter+1)%o.ReportEvery == 0 || iter+1 == o.Iterations {
 			if o.OnProgress != nil && (iter+1)%o.ReportEvery == 0 {
@@ -636,12 +639,25 @@ const hillClimbTemp = 1e-9
 // calibrateTemp estimates a starting temperature as the mean |delta| of a
 // sample of random moves, the classic rule of thumb that yields a high
 // initial acceptance rate. Works on a scratch clone, evaluated through
-// the annealer's evaluator. Symmetric runs sample symmetric moves: their
-// deltas are ~sym× a single-image move's, and the temperature must match
-// the scale of the moves the loop will actually propose.
-func calibrateTemp(g *hsgraph.Graph, moves MoveSet, sym int, rnd *rng.Rand, ev *hsgraph.Evaluator) float64 {
+// the run's own rung: inc when the run has one (the first call attaches
+// it, and every sample is a peek whose rollback is free), else ev. Both
+// give the same integers, so the temperature does not depend on the mode.
+// Symmetric runs sample symmetric moves: their deltas are ~sym× a
+// single-image move's, and the temperature must match the scale of the
+// moves the loop will actually propose.
+func calibrateTemp(g *hsgraph.Graph, moves MoveSet, sym int, rnd *rng.Rand, ev *hsgraph.Evaluator, inc *hsgraph.IncrementalEvaluator) float64 {
 	scratch := g.Clone()
-	base, _ := ev.Energy(scratch)
+	energy := ev.Energy
+	if inc != nil {
+		energy = func(g *hsgraph.Graph) (int64, bool) {
+			e, connected, ok := inc.PeekEnergy(g)
+			if !ok {
+				return inc.Energy(g)
+			}
+			return e, connected
+		}
+	}
+	base, _ := energy(scratch)
 	var sum float64
 	count := 0
 	for i := 0; i < 40; i++ {
@@ -660,7 +676,7 @@ func calibrateTemp(g *hsgraph.Graph, moves MoveSet, sym int, rnd *rng.Rand, ev *
 		if !ok {
 			continue
 		}
-		if e, connected := ev.Energy(scratch); connected {
+		if e, connected := energy(scratch); connected {
 			sum += math.Abs(float64(e - base))
 			count++
 		}

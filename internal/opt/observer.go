@@ -40,9 +40,8 @@ type EvalStats struct {
 	// (connectivity transitions, unattached cache); they escalate too.
 	Unbounded int64
 	// Inc is the incremental evaluator's internal decision counters —
-	// commits, full-rebuild fallbacks, stored-peek reuse, dirty and
-	// swept source totals. Populated in both incremental and ladder
-	// modes.
+	// commits, full-rebuild fallbacks, peek-stamp reuse, dirty and
+	// swept source totals. Populated in every cache-backed mode.
 	Inc hsgraph.IncStats
 }
 

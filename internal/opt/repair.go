@@ -186,7 +186,7 @@ func Repair(degraded *hsgraph.Graph, down []int32, o RepairOptions) (*hsgraph.Gr
 
 	temp := o.InitialTemp
 	if temp == 0 {
-		temp = calibrateTemp(g, SwapOnly, 1, rnd.Split(), ev) / 10
+		temp = calibrateTemp(g, SwapOnly, 1, rnd.Split(), ev, nil) / 10
 	}
 	if temp <= 0 {
 		temp = 1
@@ -214,7 +214,7 @@ func Repair(degraded *hsgraph.Graph, down []int32, o RepairOptions) (*hsgraph.Gr
 		}
 		if accept {
 			if inc != nil {
-				inc.Energy(g) // commit the peeked rows into the cache
+				inc.Energy(g) // commit the peeked state into the cache
 			}
 			energy = cand
 			res.Accepted++

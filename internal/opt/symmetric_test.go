@@ -106,6 +106,40 @@ func TestSymmetricEvalModesProduceIdenticalRuns(t *testing.T) {
 	}
 }
 
+// TestCalibratedTempIdenticalAcrossEvalModes: calibration scores its
+// sample moves through the run's own rung (full sweeps in exact mode,
+// incremental peeks otherwise), so every mode must calibrate the same
+// InitialTemp for a seed, bit for bit, on generic and symmetric starts and
+// for every move set.
+func TestCalibratedTempIdenticalAcrossEvalModes(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		for _, sym := range []int{0, 2, 4} {
+			var start *hsgraph.Graph
+			modes := []EvalMode{EvalExact, EvalIncremental, EvalLadder}
+			if sym > 1 {
+				start = symStart(t, sym, seed)
+				modes = append(modes, EvalSymmetric)
+			} else {
+				start = randomGraph(t, 96, 24, 9, seed)
+			}
+			for _, moves := range []MoveSet{TwoNeighborSwing, SwapOnly, SwingOnly} {
+				var want float64
+				for i, mode := range modes {
+					_, res, err := Anneal(start, Options{Iterations: 1, Moves: moves, Symmetry: sym, Eval: mode, Seed: seed, Workers: 2})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i == 0 {
+						want = res.InitialTemp
+					} else if res.InitialTemp != want {
+						t.Fatalf("seed %d sym %d %v: %v mode calibrated InitialTemp %v, exact mode %v", seed, sym, moves, mode, res.InitialTemp, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSymmetricKillResume: a symmetric-mode run interrupted at an
 // arbitrary iteration and resumed from its v3 snapshot — including with a
 // different worker count — is bit-identical to the uninterrupted run.

@@ -97,7 +97,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		ladderUnbounded: reg.Counter("orpd_ladder_unbounded_total", "Delta estimates the incremental cache refused to bound."),
 		incSyncs:        reg.Counter("orpd_inc_syncs_total", "Incremental-cache commits with pending work."),
 		incRebuilds:     reg.Counter("orpd_inc_full_rebuilds_total", "Incremental-cache commits that fell back to a full rebuild."),
-		incPeekReuses:   reg.Counter("orpd_inc_stored_peek_reuses_total", "Incremental-cache commits satisfied by stored peek rows."),
+		incPeekReuses:   reg.Counter("orpd_inc_stored_peek_reuses_total", "Incremental-cache commits that re-swept the dirty list stamped by a peek of the same state."),
 		incSwept:        reg.Counter("orpd_inc_swept_sources_total", "Source rows swept into the incremental cache."),
 		incDirty:        reg.Counter("orpd_inc_dirty_sources_total", "Dirty sources seen at incremental-cache commits."),
 

@@ -152,8 +152,12 @@ func RandomSymmetric(n, m, r, sym int, seed uint64) (*hsgraph.Graph, error) {
 			return nil, err
 		}
 	}
+	// Pairs with a full endpoint are skipped before orbitConnect: its
+	// first Connect would fail anyway, and the saturation sweep below
+	// offers m/sym·m pairs, nearly all of them full, so building and
+	// discarding Connect's error per pair would dominate generation.
 	addOrbit := func(a, b int) bool {
-		if a == b || isAntipodal(m, sym, a, b) || g.HasEdge(a, b) {
+		if a == b || g.Degree(a) >= r || g.Degree(b) >= r || isAntipodal(m, sym, a, b) || g.HasEdge(a, b) {
 			return false
 		}
 		return orbitConnect(g, sym, a, b)
