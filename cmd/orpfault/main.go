@@ -56,7 +56,7 @@ func main() {
 
 		repair      = flag.Bool("repair", false, "repair the degraded graph (reattach, recable, warm-start anneal)")
 		repairIters = flag.Int("repair-iters", 4000, "focused anneal iterations for -repair")
-		evalMode    = flag.String("eval-mode", "exact", "repair anneal evaluation: exact|incremental|ladder (bit-identical results)")
+		evalMode    = flag.String("eval-mode", "exact", "repair anneal evaluation: exact|incremental (bit-identical results)")
 
 		svgOut = flag.String("svg", "", "write an SVG of the degraded topology (failures highlighted)")
 		out    = flag.String("o", "", "write the degraded (or repaired, with -repair) graph to this file")

@@ -29,7 +29,7 @@ func main() {
 		schedule = flag.String("schedule", "geometric", "geometric | linear | hillclimb")
 		out      = flag.String("o", "", "write the edge list here (default stdout)")
 		evalFile = flag.String("eval", "", "evaluate an existing edge-list file instead of solving")
-		evalMode = flag.String("eval-mode", "exact", "evaluation ladder rung: exact, incremental, ladder or symmetric (same result, increasing moves/s)")
+		evalMode = flag.String("eval-mode", "exact", "evaluation mode: exact, incremental or symmetric (same result, increasing moves/s)")
 		symmetry = flag.Int("symmetry", 0, "search only graphs closed under a cyclic group action of this order (0 = off; must divide n)")
 	)
 	version := cliutil.VersionFlag()

@@ -52,7 +52,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		fixedM   = flag.Int("m", 0, "force the switch count (0 = continuous-Moore prediction)")
 		moves    = flag.String("moves", "2ns", "move set: 2ns, swap or swing")
-		evalMode = flag.String("eval-mode", "exact", "evaluation ladder rung: exact, incremental, ladder or symmetric (same result, increasing moves/s)")
+		evalMode = flag.String("eval-mode", "exact", "evaluation mode: exact, incremental or symmetric (same result, increasing moves/s)")
 		symmetry = flag.Int("symmetry", 0, "search only graphs closed under a cyclic group action of this order (0 = off; pair with -eval-mode symmetric to quotient evaluation)")
 		out      = flag.String("o", "", "output file for the graph (default stdout)")
 		dfs      = flag.Bool("dfs", true, "relabel hosts in depth-first order (paper §6.2.1)")

@@ -2,7 +2,7 @@
 // polls /metrics (Prometheus text exposition) and the jobs API and
 // renders service health — queue depth, worker occupancy, cache hit
 // rate, per-endpoint request rates and latency percentiles, queue-wait
-// percentiles by priority, and the evaluation-ladder escalation
+// percentiles by priority, and the incremental-evaluation cache
 // counters — plus the most recent jobs. With -job it instead renders
 // one job's causal span waterfall from its event stream.
 //
@@ -156,13 +156,9 @@ func renderDashboard(w io.Writer, client *http.Client, base string, rows int, st
 	fmt.Fprintf(w, "cache     %5.1f%% hit rate   %5.0f preemptions\n",
 		100*hitRate, flat("orpd_preemptions_total"))
 
-	if ladderTotal := flat("orpd_ladder_bound_decided_total") +
-		flat("orpd_ladder_escalated_total") + flat("orpd_ladder_unbounded_total"); ladderTotal > 0 {
-		fmt.Fprintf(w, "ladder    %5.1f%% escalated  (%.0f bound-decided, %.0f exact, %.0f unbounded); inc: %.0f syncs, %.0f rebuilds, %.0f peek reuses\n",
-			100*(flat("orpd_ladder_escalated_total")+flat("orpd_ladder_unbounded_total"))/ladderTotal,
-			flat("orpd_ladder_bound_decided_total"), flat("orpd_ladder_escalated_total"),
-			flat("orpd_ladder_unbounded_total"), flat("orpd_inc_syncs_total"),
-			flat("orpd_inc_full_rebuilds_total"), flat("orpd_inc_stored_peek_reuses_total"))
+	if syncs := flat("orpd_inc_syncs_total"); syncs > 0 {
+		fmt.Fprintf(w, "inc       %5.0f syncs       %5.0f rebuilds   %4.0f peek reuses\n",
+			syncs, flat("orpd_inc_full_rebuilds_total"), flat("orpd_inc_stored_peek_reuses_total"))
 	}
 
 	// RED per endpoint: request counts by class + latency percentiles

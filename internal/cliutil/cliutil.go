@@ -210,9 +210,6 @@ type AnnealObserver struct {
 
 	// Registry gauges (nil unless built by NewAnnealObserver with one).
 	iter, temp, current, best, acceptRate, movesPerSec *obs.Gauge
-	// Evaluation-ladder introspection gauges (only move when the run
-	// uses -eval-mode incremental or ladder).
-	escalationRate, boundDecided, escalated *obs.Gauge
 }
 
 // NewAnnealObserver wires the requested surfaces. reg and sink may each
@@ -230,9 +227,6 @@ func NewAnnealObserver(reg *obs.Registry, sink *SinkFile, progress bool) *Anneal
 		ao.best = reg.Gauge("anneal_best_energy", "Best total path length so far.")
 		ao.acceptRate = reg.Gauge("anneal_accept_rate", "Cumulative accepted/proposed moves.")
 		ao.movesPerSec = reg.Gauge("anneal_moves_per_sec", "Iteration rate over the last interval.")
-		ao.escalationRate = reg.Gauge("anneal_ladder_escalation_rate", "Fraction of candidates the sampled bound could not decide.")
-		ao.boundDecided = reg.Gauge("anneal_ladder_bound_decided", "Candidates settled by the sampled bound alone (cumulative).")
-		ao.escalated = reg.Gauge("anneal_ladder_escalated", "Candidates escalated to the exact rung (cumulative).")
 	}
 	return ao
 }
@@ -246,11 +240,6 @@ func (ao *AnnealObserver) ObserveAnneal(s opt.AnnealSample) {
 		ao.best.Set(float64(s.Best))
 		ao.acceptRate.Set(s.AcceptRate())
 		ao.movesPerSec.Set(s.MovesPerSec)
-		if s.Eval != (opt.EvalStats{}) {
-			ao.escalationRate.Set(s.Eval.EscalationRate())
-			ao.boundDecided.Set(float64(s.Eval.BoundDecided))
-			ao.escalated.Set(float64(s.Eval.Escalated))
-		}
 	}
 	if ao.Sink == nil && !ao.Progress {
 		return
@@ -279,13 +268,9 @@ func (ao *AnnealObserver) ObserveAnneal(s opt.AnnealSample) {
 			"restart":         float64(s.Restart),
 		}
 		if ev := s.Eval; ev != (opt.EvalStats{}) {
-			f["boundDecided"] = float64(ev.BoundDecided)
-			f["escalated"] = float64(ev.Escalated)
-			f["unbounded"] = float64(ev.Unbounded)
 			f["incSyncs"] = float64(ev.Inc.Syncs)
 			f["incFullRebuilds"] = float64(ev.Inc.FullRebuilds)
 			f["incPeeks"] = float64(ev.Inc.Peeks)
-			f["incEstimates"] = float64(ev.Inc.Estimates)
 		}
 		ao.Sink.Emit(obs.Event{T: s.Elapsed, Kind: obs.KindAnnealSample, F: f})
 	}

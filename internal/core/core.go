@@ -71,8 +71,8 @@ type Options struct {
 	// GOMAXPROCS, multi-restart runs let opt.ParallelAnneal split the
 	// cores between restarts and shards. Results are worker-invariant.
 	Workers int
-	// Eval selects the annealer's evaluation ladder rung (exact,
-	// incremental, ladder or symmetric; see opt.EvalMode). Default exact.
+	// Eval selects the annealer's evaluation mode (exact, incremental or
+	// symmetric; see opt.EvalMode). Default exact.
 	Eval opt.EvalMode
 	// Symmetry, when >= 2, makes the annealed regime search only graphs
 	// closed under a cyclic group action of order Symmetry: the start is

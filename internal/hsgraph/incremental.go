@@ -2,11 +2,8 @@ package hsgraph
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/rng"
 )
 
 // IncrementalEvaluator computes the same metrics as Evaluator but caches
@@ -71,16 +68,11 @@ type IncrementalEvaluator struct {
 	dirty     []int32
 	dirtyAt   []uint32 // dirtyAt[s] == dirtyGen marks s dirty
 	dirtyGen  uint32
-	seen      []int32 // connectivity pre-check visit marks
 	queue     []int32
 	sweep     []sweepScratch // per-worker bit-BFS scratch
 	cursor    atomic.Int64
-	sampleD   []float64  // per-sample deltas for EstimateDelta
-	sampleIx  []int32    // sampled dirty sources
 	keys      []dirtyKey // active net-diff keys, hoisted for the fused scan
 	negRow    []int16    // all -1, the row-prefill template
-	scratchF  []float64  // sampleBatchDeltas result scratch
-	scratchR  []int64    // sampleBatchDeltas reach scratch
 	hostDelta []int32    // switches with pending host-count changes (peek scratch)
 
 	// Peek stamp: the pending state the last peek derived ie.dirty for, so
@@ -94,8 +86,8 @@ type IncrementalEvaluator struct {
 }
 
 // IncStats counts the incremental evaluator's internal decisions since it
-// was created — the introspection feed of the evaluation-ladder telemetry
-// (opt.AnnealSample.Eval, orpd's ladder instruments). All counters are
+// was created — the introspection feed of the anneal telemetry
+// (opt.AnnealSample.Eval, orpd's orpd_inc_* counters). All counters are
 // cumulative; consumers diff successive snapshots for rates. Reads are
 // only consistent from the goroutine driving the evaluator (which is the
 // evaluator's general concurrency contract anyway).
@@ -120,11 +112,6 @@ type IncStats struct {
 	SweptSources int64
 	// Peeks counts PeekEnergy sweeps answered from scratch space.
 	Peeks int64
-	// Estimates counts EstimateDelta calls; ExactEstimates the subset
-	// whose sample covered every dirty source (bounds collapsed to the
-	// exact delta).
-	Estimates      int64
-	ExactEstimates int64
 }
 
 // Stats returns the evaluator's cumulative decision counters.
@@ -145,13 +132,6 @@ const (
 	fallbackNum = 3
 	fallbackDen = 4
 )
-
-// minExtrapolateSample is the smallest sample EstimateDelta extrapolates
-// from. Below it the empirical range badly underestimates the per-source
-// delta spread and the Hoeffding-style half-width loses its nominal
-// coverage, so smaller maxSample requests are rounded up (the sample
-// still fits one 64-lane batch).
-const minExtrapolateSample = 16
 
 // NewIncrementalEvaluator returns an evaluator with the given number of
 // sweep workers (values below 1 mean 1). Workers only affect throughput,
@@ -398,7 +378,7 @@ func (ie *IncrementalEvaluator) netDiff(ops []edgeOp) {
 // compactOpLog rewrites the pending op log to its net diff (one entry per
 // surviving edge change). Rejected moves append do/undo pairs that only a
 // commit would clear; peeks between commits compact them away so repeated
-// estimates never rescan cancelled history, and the log stays far from its
+// peeks never rescan cancelled history, and the log stays far from its
 // overflow cap. Requires ie.netDiff to have just run on g.oplog.
 func (ie *IncrementalEvaluator) compactOpLog(g *Graph) {
 	if len(g.oplog) == len(ie.netKeys) {
@@ -1022,576 +1002,4 @@ func (ie *IncrementalEvaluator) Evaluate(g *Graph) Metrics {
 	}
 	connected := allAttached && orderedReach == int64(bearing)*int64(bearing-1)
 	return g.finishMetrics(intraTotal+ordered/2, intraPairs+orderedW/2, diam, connected)
-}
-
-// CachedEnergy returns the cache's own total path sum (the exact energy of
-// the last synced state — possibly a partial sum if that state was
-// disconnected) without touching the graph or the pending op log.
-func (ie *IncrementalEvaluator) CachedEnergy() int64 {
-	var intra, ordered int64
-	for s := 0; s < ie.m; s++ {
-		k := int64(ie.hosts[s])
-		if k == 0 {
-			continue
-		}
-		intra += k * (k - 1)
-		if s < ie.q {
-			ordered += k * ie.rowSum[s]
-		}
-	}
-	if ie.sym > 1 {
-		ordered *= int64(ie.sym)
-	}
-	return intra + ordered/2
-}
-
-// cachedBearingConnected reports whether the cached state had every pair
-// of host-bearing switches mutually reachable.
-func (ie *IncrementalEvaluator) cachedBearingConnected() bool {
-	var bearing, reach int64
-	for s := 0; s < ie.m; s++ {
-		if ie.hosts[s] == 0 {
-			continue
-		}
-		bearing++
-		if s < ie.q {
-			reach += ie.rowRch[s]
-		}
-	}
-	if ie.sym > 1 {
-		reach *= int64(ie.sym)
-	}
-	return reach == bearing*(bearing-1)
-}
-
-// bearingConnectedNow runs one plain BFS on g and reports whether all
-// hosts are attached and every host-bearing switch is reachable from the
-// first one (the same pre-check Evaluator.Energy uses). Also reports the
-// bearing-switch count.
-func (ie *IncrementalEvaluator) bearingConnectedNow(g *Graph) (connected bool, bearing int) {
-	m := len(g.adj)
-	if cap(ie.seen) < m {
-		ie.seen = make([]int32, m)
-	}
-	seen := ie.seen[:m]
-	for i := range seen {
-		seen[i] = 0
-	}
-	start := -1
-	var attached int64
-	for s := 0; s < m; s++ {
-		if g.hosts[s] > 0 {
-			bearing++
-			attached += int64(g.hosts[s])
-			if start == -1 {
-				start = s
-			}
-		}
-	}
-	allAttached := attached == int64(g.n)
-	if bearing <= 1 {
-		return allAttached, bearing
-	}
-	if !allAttached {
-		return false, bearing
-	}
-	if cap(ie.queue) < m {
-		ie.queue = make([]int32, 0, m)
-	}
-	queue := ie.queue[:0]
-	seen[start] = 1
-	queue = append(queue, int32(start))
-	reached := 1
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, u := range g.adj[v] {
-			if seen[u] == 0 {
-				seen[u] = 1
-				if g.hosts[u] > 0 {
-					reached++
-				}
-				queue = append(queue, u)
-			}
-		}
-	}
-	ie.queue = queue[:0]
-	return reached == bearing, bearing
-}
-
-// DeltaEstimate is EstimateDelta's verdict on a pending mutation batch.
-type DeltaEstimate struct {
-	// Connected is false when the current graph fails the host-bearing
-	// connectivity pre-check (the candidate disconnects the graph).
-	Connected bool
-	// Bounded reports whether Lo/Hi are usable. When false the caller
-	// must fall back to an exact evaluation.
-	Bounded bool
-	// Lo and Hi bound the energy delta between the current graph and the
-	// cache's last synced state (CachedEnergy), in total-path units. With
-	// Exact they coincide with the true delta.
-	Lo, Hi float64
-	Exact  bool
-	// Base is the cache's energy (the delta's reference point).
-	Base int64
-	// Dirty and Sampled report the dirty-source count and how many of
-	// them were actually swept.
-	Dirty, Sampled int
-}
-
-// EstimateDelta bounds the energy change of the pending (un-synced)
-// mutations without committing anything to the cache: the op log is
-// peeked, not consumed, and sampled sources are swept into scratch. A
-// rolled-back candidate therefore leaves no trace — the stale-cache class
-// of bugs cannot occur, because only Energy/Evaluate ever write rows.
-//
-// maxSample caps how many dirty sources are swept (sampled uniformly
-// without replacement via rnd); the unswept remainder is extrapolated from
-// the sample mean with a Hoeffding-style half-width at failure probability
-// conf (the empirical sample range, inflated 4x, stands in for the true
-// per-source delta range — see DESIGN.md). When every dirty source fits in
-// the sample the bounds are exact. The estimate is refused (Bounded=false)
-// when the cache is not attached to g or when the mutation changes the
-// host-bearing connectivity status, where per-source deltas are unbounded.
-//
-// The host-bearing connectivity pre-check rides along for free: the first
-// sampled lane counts the bearing switches it reaches, which for a bearing
-// source equals the bearing count exactly when the graph is connected, so
-// no separate BFS runs unless the cache is unusable or no sampled source
-// bears hosts.
-func (ie *IncrementalEvaluator) EstimateDelta(g *Graph, maxSample int, conf float64, rnd *rng.Rand) DeltaEstimate {
-	ie.stats.Estimates++
-	est := ie.estimateDelta(g, maxSample, conf, rnd)
-	if est.Exact {
-		ie.stats.ExactEstimates++
-	}
-	return est
-}
-
-func (ie *IncrementalEvaluator) estimateDelta(g *Graph, maxSample int, conf float64, rnd *rng.Rand) DeltaEstimate {
-	if !ie.synced(g) {
-		connected, _ := ie.bearingConnectedNow(g)
-		return DeltaEstimate{Connected: connected}
-	}
-	if ie.sym > 1 {
-		// Orbit mode caches only representative rows, but the exact
-		// host-delta fold below reads arbitrary rows via matrix symmetry.
-		// Refuse to estimate; callers escalate to PeekEnergy, which is
-		// orbit-aware (and already ~sym× cheaper than a generic peek).
-		connected, _ := ie.bearingConnectedNow(g)
-		return DeltaEstimate{Connected: connected}
-	}
-	// Bearing census, O(m) and BFS-free: count, total attachment, first
-	// bearing switch (whose cached row doubles as the reachability probe
-	// when no row changed).
-	var bearing int
-	var attached int64
-	first := -1
-	for b, k := range g.hosts {
-		if k > 0 {
-			bearing++
-			attached += int64(k)
-			if first == -1 {
-				first = b
-			}
-		}
-	}
-	allAttached := attached == int64(g.n)
-	if bearing <= 1 {
-		// No bearing pair exists; bearingConnectedNow's verdict is just
-		// attachment.
-		return DeltaEstimate{Connected: allAttached}
-	}
-	if !allAttached {
-		return DeltaEstimate{}
-	}
-	ie.netDiff(g.oplog)
-	ie.compactOpLog(g)
-	ie.markDirty()
-	est := DeltaEstimate{Dirty: len(ie.dirty)}
-
-	if est.Dirty == 0 {
-		// No row changed, so the cached reachability pattern is current:
-		// read connectivity off the first bearing switch's row.
-		est.Connected = true
-		row := ie.row(first)
-		for b, k := range g.hosts {
-			if k > 0 && b != first && row[b] < 0 {
-				est.Connected = false
-				break
-			}
-		}
-		if !est.Connected || !ie.cachedBearingConnected() {
-			// Disconnected, or a reconnection flip (possible here via host
-			// moves alone): per-source deltas are unbounded either way.
-			return est
-		}
-		est.Base = ie.CachedEnergy()
-		deltaIntra, exactOrdered := ie.hostDeltaTerms(g)
-		est.Bounded, est.Exact = true, true
-		est.Lo = deltaIntra + exactOrdered/2
-		est.Hi = est.Lo
-		return est
-	}
-
-	// Samples sweep in bit-parallel batches of 64 sources; a larger
-	// maxSample costs proportionally more batches but covers the dirty set
-	// exactly sooner, collapsing the bounds to a point.
-	if maxSample < 1 {
-		maxSample = 1
-	}
-	sampleN := est.Dirty
-	if sampleN > maxSample {
-		sampleN = maxSample
-	}
-	// Extrapolating from a handful of sources is how the empirical-range
-	// stand-in goes wrong: the dirty set holds only genuinely-changed rows,
-	// whose deltas spread far wider than a tiny sample reveals. Raise the
-	// floor whenever the sample does not cover the dirty set — it stays
-	// within the single 64-lane batch either way.
-	if sampleN < est.Dirty && sampleN < minExtrapolateSample {
-		sampleN = minExtrapolateSample
-		if sampleN > est.Dirty {
-			sampleN = est.Dirty
-		}
-	}
-	if sampleN == est.Dirty {
-		// Full coverage: the sample is the whole dirty set, so the sweep
-		// runs through the peek's totals sweep — sharded over workers —
-		// and the bounds collapse to the exact delta. An immediately
-		// following commit (an accepted move) then reuses the stamped
-		// dirty list.
-		dirty := ie.sweepSources(ie.dirty, false)
-		ie.stampPeek(g)
-		// Every bearing dirty row doubles as the connectivity pre-check: it
-		// reaches every other bearing switch exactly when the graph is
-		// connected, so the graph is connected exactly when the bearing
-		// dirty rows reach bearing-1 switches each.
-		var bearingDirty, oldSum int64
-		for _, src := range ie.dirty {
-			if g.hosts[src] > 0 {
-				bearingDirty++
-			}
-			oldSum += int64(ie.hosts[src]) * ie.rowSum[src]
-		}
-		var connected bool
-		if bearingDirty > 0 {
-			connected = dirty.reach == bearingDirty*int64(bearing-1)
-		} else {
-			connected, _ = ie.bearingConnectedNow(g)
-		}
-		if !connected {
-			return est
-		}
-		est.Connected = true
-		if !ie.cachedBearingConnected() {
-			// Reachability flips make unswept per-source deltas unbounded.
-			return est
-		}
-		est.Base = ie.CachedEnergy()
-		deltaIntra, exactOrdered := ie.hostDeltaTerms(g)
-		est.Sampled = sampleN
-		est.Bounded, est.Exact = true, true
-		est.Lo = deltaIntra + (exactOrdered+float64(dirty.sum-oldSum))/2
-		est.Hi = est.Lo
-		return est
-	}
-
-	// Partial Fisher-Yates: the first sampleN entries become a uniform
-	// sample without replacement.
-	ie.sampleIx = append(ie.sampleIx[:0], ie.dirty...)
-	for i := 0; i < sampleN && i < len(ie.sampleIx)-1; i++ {
-		j := i + rnd.Intn(len(ie.sampleIx)-i)
-		ie.sampleIx[i], ie.sampleIx[j] = ie.sampleIx[j], ie.sampleIx[i]
-	}
-	// Lead the sample with a bearing source: lane 0's reach count then
-	// decides connectivity. Swapping within the sample leaves membership
-	// (and hence the sums and range below) unchanged.
-	probe := -1
-	for i := 0; i < sampleN; i++ {
-		if g.hosts[ie.sampleIx[i]] > 0 {
-			probe = i
-			break
-		}
-	}
-	if probe > 0 {
-		ie.sampleIx[0], ie.sampleIx[probe] = ie.sampleIx[probe], ie.sampleIx[0]
-	}
-	if probe < 0 {
-		// Every sampled source is host-free (possible only when hosts
-		// concentrate away from the churned region): fall back to the BFS.
-		connected, _ := ie.bearingConnectedNow(g)
-		if !connected {
-			return est
-		}
-	}
-	ie.sampleD = ie.sampleD[:0]
-	var sampleSum float64
-	for off := 0; off < sampleN; off += 64 {
-		end := off + 64
-		if end > sampleN {
-			end = sampleN
-		}
-		deltas, reach := ie.sampleBatchDeltas(g, ie.sampleIx[off:end])
-		if off == 0 && probe >= 0 && reach[0] != int64(bearing) {
-			// The probe's component misses a bearing switch: the candidate
-			// disconnects the graph. Skip the remaining batches.
-			return est
-		}
-		for _, d := range deltas {
-			ie.sampleD = append(ie.sampleD, d)
-			sampleSum += d
-		}
-	}
-	est.Connected = true
-	if !ie.cachedBearingConnected() {
-		// Reachability flips make unswept per-source deltas unbounded.
-		return est
-	}
-	est.Base = ie.CachedEnergy()
-	deltaIntra, exactOrdered := ie.hostDeltaTerms(g)
-	est.Sampled = sampleN
-
-	mean := sampleSum / float64(sampleN)
-	minD, maxD := ie.sampleD[0], ie.sampleD[0]
-	for _, d := range ie.sampleD[1:] {
-		minD = math.Min(minD, d)
-		maxD = math.Max(maxD, d)
-	}
-	if conf <= 0 || conf >= 1 {
-		conf = 1e-6
-	}
-	// Hoeffding half-width on the population mean with the empirical range
-	// (inflated 4x, floored) standing in for the true range.
-	rang := 4*(maxD-minD) + 16
-	dev := rang * math.Sqrt(math.Log(2/conf)/(2*float64(sampleN)))
-	rest := float64(est.Dirty - sampleN)
-	est.Bounded = true
-	est.Lo = deltaIntra + (exactOrdered+sampleSum+rest*(mean-dev))/2
-	est.Hi = deltaIntra + (exactOrdered+sampleSum+rest*(mean+dev))/2
-	return est
-}
-
-// hostDeltaTerms computes the exact, BFS-free part of the energy delta:
-// the intra-switch term k(k-1) depends only on the host counts, and a
-// clean row s (distances unchanged) changes by the source-side reweighting
-// (k'_s - k_s)*rowSum[s] plus the target-side shifts
-// k'_s * sum_b deltaK_b * (d(s,b)+2). Dirty rows are excluded — their
-// contribution comes from the sample sweep.
-func (ie *IncrementalEvaluator) hostDeltaTerms(g *Graph) (deltaIntra, exactOrdered float64) {
-	for b := 0; b < ie.m; b++ {
-		kNew, kOld := int64(g.hosts[b]), int64(ie.hosts[b])
-		deltaK := kNew - kOld
-		if deltaK == 0 {
-			continue
-		}
-		deltaIntra += float64(kNew*(kNew-1) - kOld*(kOld-1))
-		// The cache is a consistent snapshot of an undirected graph, so
-		// its matrix is symmetric: d(s,b) for every clean s can be read
-		// sequentially off row b instead of walking column b.
-		rowB := ie.row(b)
-		for s := 0; s < ie.m; s++ {
-			if s == b || ie.dirtyAt[s] == ie.dirtyGen {
-				continue
-			}
-			d := rowB[s]
-			if d < 0 {
-				continue
-			}
-			exactOrdered += float64(int64(g.hosts[s])) * float64(deltaK) * float64(d+2)
-		}
-	}
-	for s := 0; s < ie.m; s++ {
-		if ie.dirtyAt[s] == ie.dirtyGen {
-			continue
-		}
-		if dk := int64(g.hosts[s]) - int64(ie.hosts[s]); dk != 0 {
-			exactOrdered += float64(dk) * float64(ie.rowSum[s])
-		}
-	}
-	return deltaIntra, exactOrdered
-}
-
-// sampleBatchDeltas runs one bit-parallel BFS over the (<= 64) batch
-// sources on the current graph, without writing any cached state, and
-// returns each source's ordered-sum contribution change
-// k'_s*rowSum'_s - k_s*rowSum_s against its cached aggregate, plus each
-// lane's count of reachable host-bearing switches (the source included).
-// Both slices are scratch, valid until the next call.
-func (ie *IncrementalEvaluator) sampleBatchDeltas(g *Graph, batch []int32) ([]float64, []int64) {
-	m := ie.m
-	sc := &ie.sweep[0]
-	sc.grow(m)
-	visited := sc.visited[:m]
-	front := sc.front[:m]
-	next := sc.next[:m]
-	for i := range visited {
-		visited[i] = 0
-		front[i] = 0
-	}
-	var newSum, newRch [64]int64
-	for bit, s := range batch {
-		visited[s] |= 1 << uint(bit)
-		front[s] |= 1 << uint(bit)
-		newSum[bit] = 0
-		newRch[bit] = 0
-		if g.hosts[s] > 0 {
-			newRch[bit] = 1
-		}
-	}
-	for level := int64(1); ; level++ {
-		for i := range next {
-			next[i] = 0
-		}
-		active := false
-		for v := 0; v < m; v++ {
-			fv := front[v]
-			if fv == 0 {
-				continue
-			}
-			// Unconditionally OR the frontier into next: the settle pass
-			// below masks off already-visited bits, so pre-filtering here
-			// would only add a visited load and a branch per edge word.
-			for _, u := range g.adj[v] {
-				next[u] |= fv
-			}
-		}
-		for v := 0; v < m; v++ {
-			nv := next[v] &^ visited[v]
-			if nv == 0 {
-				next[v] = 0
-				continue
-			}
-			next[v] = nv
-			visited[v] |= nv
-			active = true
-			if kv := int64(g.hosts[v]); kv > 0 {
-				w := kv * (level + 2)
-				for mask := nv; mask != 0; mask &= mask - 1 {
-					bit := trailingZeros(mask)
-					newSum[bit] += w
-					newRch[bit]++
-				}
-			}
-		}
-		front, next = next, front
-		if !active {
-			break
-		}
-	}
-	out := ie.sampleScratch(len(batch))
-	rch := ie.reachScratch(len(batch))
-	for i, s := range batch {
-		out[i] = float64(int64(g.hosts[s]))*float64(newSum[i]) -
-			float64(int64(ie.hosts[s]))*float64(ie.rowSum[s])
-		rch[i] = newRch[i]
-	}
-	return out, rch
-}
-
-// reachScratch returns a reusable int64 slice of length n.
-func (ie *IncrementalEvaluator) reachScratch(n int) []int64 {
-	if cap(ie.scratchR) < n {
-		ie.scratchR = make([]int64, n)
-	}
-	return ie.scratchR[:n]
-}
-
-// sampleScratch returns a reusable float64 slice of length n.
-func (ie *IncrementalEvaluator) sampleScratch(n int) []float64 {
-	if cap(ie.scratchF) < n {
-		ie.scratchF = make([]float64, n)
-	}
-	return ie.scratchF[:n]
-}
-
-// HASPLEstimate is EstimateHASPL's result.
-type HASPLEstimate struct {
-	HASPL     float64 // point estimate of the h-ASPL
-	HalfWidth float64 // confidence half-width: |true - estimate| <= HalfWidth w.p. >= 1-conf
-	Sampled   int     // sources swept
-}
-
-// EstimateHASPL estimates the h-ASPL of a connected graph by sweeping
-// `samples` host-bearing switches drawn uniformly with replacement, with a
-// Hoeffding-style confidence half-width at failure probability conf. It is
-// the cheap first rung of the evaluation ladder for read-only queries: the
-// per-sample statistic B*k_s*sum_t k_t*(d(s,t)+2) is an unbiased estimator
-// of the ordered inter-switch path sum (B = number of host-bearing
-// switches), and the half-width uses the conservative per-sample range
-// [0, B*kmax*n*(Dmax+2)] with Dmax the largest distance observed. ok is
-// false on graphs where the estimate is meaningless (fewer than two
-// host-bearing switches, unattached hosts, or a disconnected graph,
-// detected by any sampled source failing to reach some bearing switch).
-func EstimateHASPL(g *Graph, samples int, conf float64, rnd *rng.Rand) (HASPLEstimate, bool) {
-	m := len(g.adj)
-	var bearing []int32
-	var attached, intraTotal int64
-	var kmax int64
-	for s := 0; s < m; s++ {
-		k := int64(g.hosts[s])
-		if k > 0 {
-			bearing = append(bearing, int32(s))
-			attached += k
-			intraTotal += k * (k - 1)
-			if k > kmax {
-				kmax = k
-			}
-		}
-	}
-	if len(bearing) < 2 || attached != int64(g.n) {
-		return HASPLEstimate{}, false
-	}
-	if samples < 1 {
-		samples = 1
-	}
-	if conf <= 0 || conf >= 1 {
-		conf = 0.05
-	}
-	d := make([]int16, m)
-	queue := make([]int32, 0, m)
-	B := float64(len(bearing))
-	var sum float64
-	var dmax int64
-	for i := 0; i < samples; i++ {
-		s := int(bearing[rnd.Intn(len(bearing))])
-		for t := range d {
-			d[t] = -1
-		}
-		d[s] = 0
-		queue = append(queue[:0], int32(s))
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			for _, u := range g.adj[v] {
-				if d[u] == -1 {
-					d[u] = d[v] + 1
-					queue = append(queue, u)
-				}
-			}
-		}
-		var rowSum int64
-		for _, t := range bearing {
-			dt := d[t]
-			if int(t) == s {
-				continue
-			}
-			if dt < 0 {
-				return HASPLEstimate{}, false // disconnected
-			}
-			rowSum += int64(g.hosts[t]) * int64(dt+2)
-			if int64(dt) > dmax {
-				dmax = int64(dt)
-			}
-		}
-		sum += B * float64(g.hosts[s]) * float64(rowSum)
-	}
-	pairs := float64(g.n) * float64(g.n-1) / 2
-	mean := sum / float64(samples)
-	estTotal := float64(intraTotal) + mean/2
-	rang := B * float64(kmax) * float64(g.n) * float64(dmax+2)
-	dev := rang * math.Sqrt(math.Log(2/conf)/(2*float64(samples))) / 2
-	return HASPLEstimate{
-		HASPL:     estTotal / pairs,
-		HalfWidth: dev / pairs,
-		Sampled:   samples,
-	}, true
 }

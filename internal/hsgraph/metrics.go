@@ -20,55 +20,41 @@ type Metrics struct {
 }
 
 // SwitchDistances returns the all-pairs shortest path matrix of the switch
-// graph via per-source BFS. Unreachable pairs are -1. This is the reference
-// (slow) implementation; Evaluate uses the bit-parallel variant.
+// graph via per-source BFS (SwitchBFS). Unreachable pairs are -1. This is
+// the reference (slow) implementation; Evaluate uses the bit-parallel
+// variant.
 func (g *Graph) SwitchDistances() [][]int32 {
 	m := len(g.adj)
 	dist := make([][]int32, m)
 	queue := make([]int32, 0, m)
 	for s := 0; s < m; s++ {
-		d := make([]int32, m)
-		for i := range d {
-			d[i] = -1
-		}
-		d[s] = 0
-		queue = append(queue[:0], int32(s))
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, u := range g.adj[v] {
-				if d[u] == -1 {
-					d[u] = d[v] + 1
-					queue = append(queue, u)
-				}
-			}
-		}
-		dist[s] = d
+		dist[s] = make([]int32, m)
+		g.SwitchBFS(s, dist[s], queue)
 	}
 	return dist
 }
 
-// bfsFrom fills d (len m, preset to -1) with BFS distances from s and
-// returns the number of vertices reached (including s).
-func (g *Graph) bfsFrom(s int, d []int32, queue []int32) int {
-	for i := range d {
-		d[i] = -1
+// SwitchBFS is the reference single-source BFS over the switch graph: it
+// fills dist (len m) with the distances from switch s, -1 for
+// unreachable switches, and returns the number of switches reached (s
+// included). queue is scratch space; pass one of capacity m to keep the
+// call allocation-free.
+func (g *Graph) SwitchBFS(s int, dist []int32, queue []int32) int {
+	for i := range dist {
+		dist[i] = -1
 	}
-	d[s] = 0
+	dist[s] = 0
 	queue = append(queue[:0], int32(s))
-	reached := 1
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		for _, u := range g.adj[v] {
-			if d[u] == -1 {
-				d[u] = d[v] + 1
-				reached++
+			if dist[u] == -1 {
+				dist[u] = dist[v] + 1
 				queue = append(queue, u)
 			}
 		}
 	}
-	return reached
+	return len(queue)
 }
 
 // EvaluateSlow computes the metrics with per-source BFS. It exists as an
@@ -90,7 +76,7 @@ func (g *Graph) EvaluateSlow() Metrics {
 		if ka == 0 {
 			continue
 		}
-		g.bfsFrom(a, d, queue)
+		g.SwitchBFS(a, d, queue)
 		// Pairs within the same switch: distance 2.
 		total += ka * (ka - 1) / 2 * 2
 		pairs += ka * (ka - 1) / 2
@@ -157,7 +143,7 @@ func (g *Graph) HostDistance(a, b int) int {
 	m := len(g.adj)
 	d := make([]int32, m)
 	queue := make([]int32, 0, m)
-	g.bfsFrom(int(sa), d, queue)
+	g.SwitchBFS(int(sa), d, queue)
 	if d[sb] < 0 {
 		return -1
 	}
@@ -175,7 +161,7 @@ func (g *Graph) SingleSourceHostMetrics(h int) (aspl float64, ecc int, ok bool) 
 	m := len(g.adj)
 	d := make([]int32, m)
 	queue := make([]int32, 0, m)
-	g.bfsFrom(int(s), d, queue)
+	g.SwitchBFS(int(s), d, queue)
 	var total int64
 	count := 0
 	ok = true
@@ -235,7 +221,7 @@ func (g *Graph) SwitchASPL() (aspl float64, diameter int, ok bool) {
 	d := make([]int32, m)
 	queue := make([]int32, 0, m)
 	for s := 0; s < m; s++ {
-		g.bfsFrom(s, d, queue)
+		g.SwitchBFS(s, d, queue)
 		for t := s + 1; t < m; t++ {
 			if d[t] < 0 {
 				ok = false

@@ -37,8 +37,8 @@ type Options struct {
 	// Workers is the number of evaluation shard workers (hsgraph.Evaluator);
 	// zero means GOMAXPROCS. Results are identical for any worker count.
 	Workers int
-	// Eval selects the annealer's evaluation ladder rung (see
-	// opt.EvalMode). Default exact.
+	// Eval selects the annealer's evaluation mode (see opt.EvalMode).
+	// Default exact.
 	Eval opt.EvalMode
 	// Symmetry, when >= 2, searches only graphs closed under a cyclic
 	// group action of that order (must divide n): the start is a

@@ -114,14 +114,12 @@ type Options struct {
 	// The result is identical for every worker count; only throughput
 	// changes. ParallelAnneal resolves 0 to a share of GOMAXPROCS.
 	Workers int
-	// Eval selects the evaluation ladder rung (see EvalMode). The default
+	// Eval selects the evaluation mode (see EvalMode). The default
 	// EvalExact evaluates every candidate with the full sweep;
-	// EvalIncremental re-sweeps only dirty sources; EvalLadder adds the
-	// sampled-source bound with escalation; EvalSymmetric quotients the
-	// incremental cache by the cyclic group action (requires Symmetry).
-	// All modes yield the same accepted-move sequence for a seed (ladder:
-	// whenever its confidence bounds hold, which is all but ~1e-6 of
-	// estimates).
+	// EvalIncremental re-sweeps only dirty sources; EvalSymmetric
+	// quotients the incremental cache by the cyclic group action
+	// (requires Symmetry). All modes compute the exact candidate energy,
+	// so they yield the same accepted-move sequence for a seed.
 	Eval EvalMode
 	// Symmetry, when >= 2, restricts the search to graphs closed under
 	// the cyclic group action σ(s) = (s + m/Symmetry) mod m: the start
@@ -149,11 +147,12 @@ type Options struct {
 	// exist the run starts from scratch (so kill-and-resume loops are
 	// idempotent). The resumed run is bit-identical — best graph, every
 	// Result field, the energy trace — to the run that was never
-	// interrupted, at every worker count. Stream-defining options stored
-	// in the snapshot (iterations, move set, schedule, temperatures,
-	// seed, sampling interval, trace settings) must match any non-zero
-	// values in these Options, or Anneal errors out rather than silently
-	// diverging.
+	// interrupted, at every worker count and under every evaluation mode
+	// (a snapshot resumes under whichever mode the caller asks for).
+	// Stream-defining options stored in the snapshot (iterations, move
+	// set, schedule, temperatures, seed, sampling interval, trace
+	// settings, symmetry) must match any non-zero values in these
+	// Options, or Anneal errors out rather than silently diverging.
 	Resume bool
 	// Interrupt, if non-nil, is polled once per iteration; when it
 	// becomes true the annealer writes a final snapshot (if checkpointing
@@ -186,13 +185,13 @@ type Result struct {
 	// iterations (only with Options.TraceEnergy; see EnergyTraceMax).
 	EnergyTrace       []float64
 	EnergyTraceStride int
-	// Eval snapshots the evaluation-ladder counters at the end of the run
-	// (all zero in EvalExact mode, and reset by a resume — see telemetry;
-	// they include the temperature calibration's peeks). Excluded from
-	// JSON: the counters are in-process diagnostics, not part of the run's
-	// deterministic result (a resumed run re-attaches the cache and counts
-	// differently), so serializing them would break the bit-identical
-	// resume contract that result payloads carry.
+	// Eval snapshots the incremental cache's counters at the end of the
+	// run (all zero in EvalExact mode, and reset by a resume — see
+	// telemetry; they include the temperature calibration's peeks).
+	// Excluded from JSON: the counters are in-process diagnostics, not
+	// part of the run's deterministic result (a resumed run re-attaches
+	// the cache and counts differently), so serializing them would break
+	// the bit-identical resume contract that result payloads carry.
 	Eval EvalStats `json:"-"`
 }
 
@@ -206,12 +205,8 @@ type annealState struct {
 	temp               float64
 	iter               int
 	rnd                *rng.Rand
-	// estRnd is the ladder estimator's private stream (nil outside
-	// EvalLadder). It is checkpointed: a resumed ladder run replays the
-	// same source samples and hence the same escalation pattern.
-	estRnd *rng.Rand
-	res    Result
-	tel    telemetry
+	res                Result
+	tel                telemetry
 }
 
 // validateOptions rejects senseless inputs. It deliberately fills no
@@ -243,7 +238,7 @@ func validateOptions(o *Options) error {
 		return fmt.Errorf("opt: unknown schedule %v", o.Schedule)
 	}
 	switch o.Eval {
-	case EvalExact, EvalIncremental, EvalLadder, EvalSymmetric:
+	case EvalExact, EvalIncremental, EvalSymmetric:
 	default:
 		return fmt.Errorf("opt: unknown evaluation mode %v", o.Eval)
 	}
@@ -346,11 +341,6 @@ func Anneal(start *hsgraph.Graph, o Options) (*hsgraph.Graph, Result, error) {
 // run's incremental evaluator (nil in exact mode).
 func newAnnealState(start *hsgraph.Graph, o *Options, ev *hsgraph.Evaluator, inc *hsgraph.IncrementalEvaluator) (*annealState, error) {
 	st := &annealState{rnd: rng.New(o.Seed)}
-	if o.Eval == EvalLadder {
-		// A private stream, derived from the seed but never touching the
-		// decision RNG: sampling noise must not perturb the move draws.
-		st.estRnd = rng.New(o.Seed ^ ladderSeedSalt)
-	}
 	st.g = start.Clone()
 	cur := ev.Evaluate(st.g)
 	if !cur.Connected {
@@ -387,18 +377,13 @@ func runAnneal(st *annealState, o Options, ev *hsgraph.Evaluator, inc *hsgraph.I
 	cool := math.Pow(o.FinalTemp/o.InitialTemp, 1/math.Max(1, float64(o.Iterations-1)))
 	linStep := (o.InitialTemp - o.FinalTemp) / math.Max(1, float64(o.Iterations-1))
 
-	// The evaluation ladder: decide judges the current (mutated) graph
-	// against st.energy at st.temp. Exact mode pays a full sweep per
-	// candidate; incremental mode the dirty-source re-sweep; ladder mode
-	// consults the sampled bound first and escalates only when the
-	// decision is within it. All modes consume st.rnd identically (one
-	// draw per connected uphill candidate), so the accepted-move sequence
-	// is seed-determined, not mode-determined.
-	var ladder *ladderEval
-	if inc != nil {
-		ladder = &ladderEval{inc: inc, estRnd: st.estRnd}
-	}
-	st.tel.ladder = ladder
+	// decide judges the current (mutated) graph against st.energy at
+	// st.temp. Exact mode pays a full sweep per candidate; the cache-backed
+	// modes the dirty-source re-sweep. All modes compute the same integer
+	// energy and consume st.rnd identically (one draw per connected uphill
+	// candidate), so the accepted-move sequence is seed-determined, not
+	// mode-determined.
+	st.tel.inc = inc
 
 	// The loop span brackets the iteration range this call actually runs
 	// (a resumed run starts past zero); checkpoint writes open children so
@@ -406,23 +391,20 @@ func runAnneal(st *annealState, o Options, ev *hsgraph.Evaluator, inc *hsgraph.I
 	loop := o.Span.Child("anneal.loop")
 	loop.SetF("start-iter", float64(st.iter))
 	decide := func() (int64, bool) {
-		if o.Eval == EvalLadder {
-			return ladder.decide(st.g, st.energy, st.temp, st.rnd)
-		}
-		if o.Eval == EvalIncremental || o.Eval == EvalSymmetric {
+		if inc != nil {
 			// Peek the exact candidate energy without committing rows;
 			// only accepted candidates pay the cache update, so rejected
 			// ones roll back for free.
-			e, connected, ok := ladder.inc.PeekEnergy(st.g)
+			e, connected, ok := inc.PeekEnergy(st.g)
 			if !ok {
-				e, connected = ladder.inc.Energy(st.g)
+				e, connected = inc.Energy(st.g)
 			}
 			if !connected {
 				e = math.MaxInt64
 			}
 			accepted := acceptExact(e, st.energy, st.temp, st.rnd)
 			if accepted {
-				ladder.inc.Energy(st.g)
+				inc.Energy(st.g)
 			}
 			return e, accepted
 		}
@@ -520,7 +502,7 @@ func runAnneal(st *annealState, o Options, ev *hsgraph.Evaluator, inc *hsgraph.I
 		}
 		if interrupted && st.iter < o.Iterations {
 			res.Iterations = st.iter
-			res.Eval = ladder.stats()
+			res.Eval = evalStats(inc)
 			loop.SetF("iter", float64(st.iter))
 			loop.SetS("outcome", "interrupted")
 			loop.End()
@@ -529,7 +511,7 @@ func runAnneal(st *annealState, o Options, ev *hsgraph.Evaluator, inc *hsgraph.I
 		}
 	}
 	res.Iterations = o.Iterations
-	res.Eval = ladder.stats()
+	res.Eval = evalStats(inc)
 	st.tel.finish(&o, res)
 	loop.SetF("iter", float64(st.iter))
 	loop.SetS("outcome", "done")
@@ -556,11 +538,11 @@ type telemetry struct {
 	stride   int // energy-trace decimation stride, in ReportEvery units
 	interval int // aligned intervals seen so far
 	buf      []float64
-	// ladder, when the run evaluates through the incremental cache, lets
-	// samples carry the rung/cache counters (EvalStats). Not part of the
-	// checkpointed state: a resumed run restarts the counters, which only
-	// affects observer samples, never the Result.
-	ladder *ladderEval
+	// inc, when the run evaluates through the incremental cache, lets
+	// samples carry its counters (EvalStats). Not part of the checkpointed
+	// state: a resumed run restarts the counters, which only affects
+	// observer samples, never the Result.
+	inc *hsgraph.IncrementalEvaluator
 }
 
 func (t *telemetry) init(o Options) {
@@ -619,7 +601,7 @@ func (t *telemetry) sample(o *Options, res *Result, iter int, temp float64, curr
 			Moves:       res.Moves,
 			MovesPerSec: rate,
 			Elapsed:     now.Sub(t.start).Seconds(),
-			Eval:        t.ladder.stats(),
+			Eval:        evalStats(t.inc),
 		})
 		t.lastTime, t.lastIter = now, iter
 	}
@@ -639,7 +621,7 @@ const hillClimbTemp = 1e-9
 // calibrateTemp estimates a starting temperature as the mean |delta| of a
 // sample of random moves, the classic rule of thumb that yields a high
 // initial acceptance rate. Works on a scratch clone, evaluated through
-// the run's own rung: inc when the run has one (the first call attaches
+// the run's own mode: inc when the run has one (the first call attaches
 // it, and every sample is a peek whose rollback is free), else ev. Both
 // give the same integers, so the temperature does not depend on the mode.
 // Symmetric runs sample symmetric moves: their deltas are ~sym× a

@@ -11,9 +11,19 @@ import (
 
 // annealKind names the snapshot payload layout. Bump the suffix when the
 // layout changes; old files are then rejected with a clear error instead
-// of being misparsed. v2 added the evaluation mode and the ladder
-// estimator's RNG stream; v3 added the symmetry order.
+// of being misparsed. v2 added the evaluation mode and the sampled mode's
+// estimator RNG state; v3 added the symmetry order.
 const annealKind = "orp.anneal.v3"
+
+// What v3 kept of the retired sampled mode, so the layout is unchanged:
+// its stored evaluation mode, and the length of the field that held its
+// estimator RNG state (written as zeros, skipped on read). Every mode
+// computes the same energies, so such a snapshot resumes under whichever
+// mode the caller asks for.
+const (
+	evalRetiredLadder     EvalMode = 2
+	retiredEstimatorWords          = 4
+)
 
 // Decode caps. A snapshot that claims more than these is corrupt (or
 // hostile); reject before allocating. They comfortably exceed anything
@@ -46,9 +56,6 @@ type annealSnapshot struct {
 	temp               float64
 	energy, bestEnergy int64
 	rngState           [4]uint64
-	// estRngState is the ladder estimator's stream; all-zero (and ignored)
-	// outside EvalLadder.
-	estRngState [4]uint64
 
 	accepted, proposed int
 	moveCounters       MoveCounters
@@ -90,12 +97,8 @@ func writeAnnealCheckpoint(path string, st *annealState, o *Options) error {
 	for _, s := range st.rnd.State() {
 		e.U64(s)
 	}
-	var estState [4]uint64
-	if st.estRnd != nil {
-		estState = st.estRnd.State()
-	}
-	for _, s := range estState {
-		e.U64(s)
+	for range retiredEstimatorWords {
+		e.U64(0)
 	}
 
 	e.Int(st.res.Accepted)
@@ -155,8 +158,8 @@ func decodeAnnealSnapshot(payload []byte) (*annealSnapshot, error) {
 	for i := range s.rngState {
 		s.rngState[i] = d.U64()
 	}
-	for i := range s.estRngState {
-		s.estRngState[i] = d.U64()
+	for range retiredEstimatorWords {
+		d.U64()
 	}
 
 	s.accepted = d.Int()
@@ -209,10 +212,8 @@ func decodeAnnealSnapshot(payload []byte) (*annealSnapshot, error) {
 		return nil, fmt.Errorf("opt: checkpoint: invalid move counts accepted=%d proposed=%d", s.accepted, s.proposed)
 	case s.restart < 0:
 		return nil, fmt.Errorf("opt: checkpoint: negative restart %d", s.restart)
-	case s.eval != EvalExact && s.eval != EvalIncremental && s.eval != EvalLadder && s.eval != EvalSymmetric:
+	case s.eval != EvalExact && s.eval != EvalIncremental && s.eval != evalRetiredLadder && s.eval != EvalSymmetric:
 		return nil, fmt.Errorf("opt: checkpoint: unknown evaluation mode %d", int(s.eval))
-	case s.eval == EvalLadder && s.estRngState == [4]uint64{}:
-		return nil, fmt.Errorf("opt: checkpoint: ladder mode with empty estimator RNG state")
 	case s.symmetry < 1:
 		return nil, fmt.Errorf("opt: checkpoint: implausible symmetry order %d", s.symmetry)
 	case s.eval == EvalSymmetric && s.symmetry < 2:
@@ -297,8 +298,6 @@ func loadAnnealState(path string, o *Options, ev *hsgraph.Evaluator) (*annealSta
 		return nil, mismatch("EnergyTraceMax", s.energyTraceMax, o.EnergyTraceMax)
 	case o.restart != s.restart:
 		return nil, mismatch("restart", s.restart, o.restart)
-	case o.Eval != s.eval:
-		return nil, mismatch("Eval", s.eval, o.Eval)
 	case o.Symmetry > 1 && o.Symmetry != s.symmetry:
 		return nil, mismatch("Symmetry", s.symmetry, o.Symmetry)
 	case o.Symmetry <= 1 && o.Symmetry != 0 && s.symmetry > 1:
@@ -332,17 +331,11 @@ func loadAnnealState(path string, o *Options, ev *hsgraph.Evaluator) (*annealSta
 	if err != nil {
 		return nil, fmt.Errorf("opt: resume %s: %w", path, err)
 	}
-	var estRnd *rng.Rand
-	if s.eval == EvalLadder {
-		if estRnd, err = rng.FromState(s.estRngState); err != nil {
-			return nil, fmt.Errorf("opt: resume %s: estimator stream: %w", path, err)
-		}
-	}
 
 	st := &annealState{
 		g: g, best: best,
 		energy: s.energy, bestEnergy: s.bestEnergy,
-		temp: s.temp, iter: s.iter, rnd: rnd, estRnd: estRnd,
+		temp: s.temp, iter: s.iter, rnd: rnd,
 		res: Result{
 			Initial:     s.initial,
 			Accepted:    s.accepted,

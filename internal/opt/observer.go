@@ -23,36 +23,23 @@ type MoveCounters struct {
 	CounterAccepts  int64
 }
 
-// EvalStats is the evaluation ladder's introspection snapshot, carried on
-// every AnnealSample. All counters are cumulative over the run (restart-
-// local under ParallelAnneal); consumers diff successive samples for
-// rates. Zero in exact mode, which has no ladder machinery to introspect.
+// EvalStats is the evaluation introspection snapshot carried on every
+// AnnealSample. All counters are cumulative over the run (restart-local
+// under ParallelAnneal); consumers diff successive samples for rates.
+// Zero in exact mode, which has no cache to introspect.
 type EvalStats struct {
-	// BoundDecided counts candidates the sampled bound settled without
-	// the exact candidate energy: certain downhill/uphill verdicts,
-	// decisive Metropolis draws, and disconnecting moves.
-	BoundDecided int64
-	// Escalated counts candidates that needed the exact rung because
-	// the decision fell inside the bound (including non-decisive uphill
-	// draws).
-	Escalated int64
-	// Unbounded counts estimates the cache refused to bound
-	// (connectivity transitions, unattached cache); they escalate too.
-	Unbounded int64
 	// Inc is the incremental evaluator's internal decision counters —
 	// commits, full-rebuild fallbacks, peek-stamp reuse, dirty and
 	// swept source totals. Populated in every cache-backed mode.
 	Inc hsgraph.IncStats
 }
 
-// EscalationRate is the fraction of ladder decisions that needed the
-// exact rung (0 when no decision was made yet).
-func (s EvalStats) EscalationRate() float64 {
-	total := s.BoundDecided + s.Escalated + s.Unbounded
-	if total == 0 {
-		return 0
+// evalStats snapshots inc's counters; nil (exact mode) reports zeros.
+func evalStats(inc *hsgraph.IncrementalEvaluator) EvalStats {
+	if inc == nil {
+		return EvalStats{}
 	}
-	return float64(s.Escalated+s.Unbounded) / float64(total)
+	return EvalStats{Inc: inc.Stats()}
 }
 
 // AnnealSample is one telemetry interval of a running anneal.
@@ -75,7 +62,7 @@ type AnnealSample struct {
 	// sample; Elapsed the wall-clock seconds since the run began.
 	MovesPerSec float64
 	Elapsed     float64
-	// Eval is the evaluation ladder's introspection snapshot (zero in
+	// Eval is the incremental cache's introspection snapshot (zero in
 	// exact mode).
 	Eval EvalStats
 }

@@ -29,14 +29,11 @@ type RepairOptions struct {
 	// radix budget. Callers repairing a fault.Degraded typically pass
 	// its FailedLinks count.
 	MaxNewLinks int
-	// Eval selects the evaluation rung of the warm-start anneal (see
+	// Eval selects the evaluation mode of the warm-start anneal (see
 	// EvalMode). EvalExact (the default) pays a full sharded sweep per
 	// candidate swap; EvalIncremental re-sweeps only the dirty sources
 	// through hsgraph.IncrementalEvaluator — bit-identical energies, so
-	// the repaired graph is identical move for move. EvalLadder is
-	// accepted and runs as EvalIncremental: the repair polish is too
-	// short and too cold for the sampled-bound rung to pay for its
-	// estimator stream.
+	// the repaired graph is identical move for move.
 	Eval EvalMode
 }
 
@@ -64,9 +61,9 @@ func Repair(degraded *hsgraph.Graph, down []int32, o RepairOptions) (*hsgraph.Gr
 		return nil, RepairResult{}, fmt.Errorf("opt: nil degraded graph")
 	}
 	switch o.Eval {
-	case EvalExact, EvalIncremental, EvalLadder:
+	case EvalExact, EvalIncremental:
 	default:
-		return nil, RepairResult{}, fmt.Errorf("opt: unknown evaluation mode %v", o.Eval)
+		return nil, RepairResult{}, fmt.Errorf("opt: Repair evaluation mode %v not supported (want exact or incremental)", o.Eval)
 	}
 	if o.Iterations == 0 {
 		o.Iterations = 4000
@@ -249,7 +246,7 @@ func farthestPair(g *hsgraph.Graph, free []int, dist []int32, queue []int32) (in
 	bestA, bestB := -1, -1
 	bestD := int32(-2) // any valid pair beats this; disconnected pairs score MaxInt32
 	for i, a := range free {
-		bfsSwitch(g, a, dist, queue)
+		g.SwitchBFS(a, dist, queue)
 		for _, b := range free[i+1:] {
 			if g.HasEdge(a, b) {
 				continue
@@ -264,25 +261,6 @@ func farthestPair(g *hsgraph.Graph, free []int, dist []int32, queue []int32) (in
 		}
 	}
 	return bestA, bestB
-}
-
-// bfsSwitch fills dist with BFS distances from s (-1 unreachable).
-func bfsSwitch(g *hsgraph.Graph, s int, dist []int32, queue []int32) {
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[s] = 0
-	queue = append(queue[:0], int32(s))
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range g.Neighbors(int(v)) {
-			if dist[u] == -1 {
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
-			}
-		}
-	}
 }
 
 // tryFocusedSwap is trySwap with the first edge restricted (by rejection

@@ -104,8 +104,7 @@ func TestRepairSwitchFailure(t *testing.T) {
 // RepairOptions.Eval: the incremental evaluator returns bit-identical
 // energies to the exact sharded sweep, so every accept decision, RNG
 // draw, and therefore the repaired graph itself must match move for
-// move. Ladder is accepted too and runs as incremental in the repair
-// polish.
+// move.
 func TestRepairEvalModesBitIdentical(t *testing.T) {
 	_, d := degrade(t, 0.08)
 	base := RepairOptions{Iterations: 800, Seed: 21, MaxNewLinks: d.FailedLinks}
@@ -114,27 +113,28 @@ func TestRepairEvalModesBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []EvalMode{EvalIncremental, EvalLadder} {
-		o := base
-		o.Eval = mode
-		g, r, err := Repair(d.Graph, nil, o)
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		if r != rExact {
-			t.Fatalf("%v: result diverged from exact: %+v vs %+v", mode, r, rExact)
-		}
-		if g.Fingerprint() != exact.Fingerprint() {
-			t.Fatalf("%v: repaired graph diverged from exact", mode)
-		}
+	o := base
+	o.Eval = EvalIncremental
+	g, r, err := Repair(d.Graph, nil, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r != rExact {
+		t.Fatalf("incremental result diverged from exact: %+v vs %+v", r, rExact)
+	}
+	if g.Fingerprint() != exact.Fingerprint() {
+		t.Fatal("incremental repaired graph diverged from exact")
 	}
 }
 
-// TestRepairRejectsUnknownEvalMode pins input validation.
+// TestRepairRejectsUnknownEvalMode pins input validation: Repair runs
+// exact and incremental only (the retired sampled mode 2 included).
 func TestRepairRejectsUnknownEvalMode(t *testing.T) {
 	_, d := degrade(t, 0.02)
-	if _, _, err := Repair(d.Graph, nil, RepairOptions{Eval: EvalMode(99)}); err == nil {
-		t.Fatal("Repair accepted an unknown eval mode")
+	for _, mode := range []EvalMode{EvalMode(2), EvalSymmetric, EvalMode(99)} {
+		if _, _, err := Repair(d.Graph, nil, RepairOptions{Eval: mode}); err == nil {
+			t.Fatalf("Repair accepted eval mode %v", mode)
+		}
 	}
 }
 

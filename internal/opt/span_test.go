@@ -149,35 +149,24 @@ func TestSpanPathBoundedAllocs(t *testing.T) {
 	}
 }
 
-func TestLadderSampleCarriesEvalStats(t *testing.T) {
+// TestSampleCarriesEvalStats: samples of a cache-backed run carry the
+// incremental cache's counters; exact mode carries a zero snapshot.
+func TestSampleCarriesEvalStats(t *testing.T) {
 	start := observerStart(t)
-	var last AnnealSample
-	_, _, err := Anneal(start, Options{
+	var inc AnnealSample
+	if _, _, err := Anneal(start, Options{
 		Iterations:  2000,
 		ReportEvery: 500,
 		Seed:        7,
-		Eval:        EvalLadder,
-		Observer:    ObserverFunc(func(s AnnealSample) { last = s }),
-	})
-	if err != nil {
+		Eval:        EvalIncremental,
+		Observer:    ObserverFunc(func(s AnnealSample) { inc = s }),
+	}); err != nil {
 		t.Fatal(err)
 	}
-	ev := last.Eval
-	decisions := ev.BoundDecided + ev.Escalated + ev.Unbounded
-	if decisions == 0 {
-		t.Fatal("ladder run reported no rung decisions")
-	}
-	if ev.BoundDecided == 0 {
-		t.Errorf("sampled bound never decided a candidate: %+v", ev)
-	}
-	if ev.Inc.Estimates == 0 {
-		t.Errorf("incremental cache reported no estimates: %+v", ev.Inc)
-	}
-	if r := ev.EscalationRate(); r < 0 || r > 1 {
-		t.Errorf("escalation rate %v out of [0,1]", r)
+	if c := inc.Eval.Inc; c.Peeks == 0 || c.Syncs == 0 || c.SweptSources == 0 {
+		t.Errorf("incremental mode reported no cache work: %+v", c)
 	}
 
-	// Exact mode carries a zero snapshot.
 	var exact AnnealSample
 	if _, _, err := Anneal(start, Options{
 		Iterations:  500,
@@ -189,23 +178,5 @@ func TestLadderSampleCarriesEvalStats(t *testing.T) {
 	}
 	if exact.Eval != (EvalStats{}) {
 		t.Errorf("exact mode leaked eval stats: %+v", exact.Eval)
-	}
-
-	// Incremental mode has no rung decisions but does report cache work.
-	var inc AnnealSample
-	if _, _, err := Anneal(start, Options{
-		Iterations:  500,
-		ReportEvery: 500,
-		Seed:        7,
-		Eval:        EvalIncremental,
-		Observer:    ObserverFunc(func(s AnnealSample) { inc = s }),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if inc.Eval.Inc.Peeks == 0 {
-		t.Errorf("incremental mode reported no peeks: %+v", inc.Eval.Inc)
-	}
-	if inc.Eval.BoundDecided != 0 || inc.Eval.Escalated != 0 {
-		t.Errorf("incremental mode counted rung decisions: %+v", inc.Eval)
 	}
 }

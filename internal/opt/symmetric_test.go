@@ -43,10 +43,10 @@ func symRunWithTrajectory(t *testing.T, start *hsgraph.Graph, o Options, seed ui
 	return graphBytes(t, g), res, traj
 }
 
-// TestSymmetricEvalModesProduceIdenticalRuns extends the ladder's
-// headline property to symmetric runs: with Options.Symmetry set, every
-// rung — exact, incremental, ladder and the orbit-quotient symmetric mode
-// — produces the identical accepted-move sequence, Result and best graph,
+// TestSymmetricEvalModesProduceIdenticalRuns extends the evaluation
+// modes' headline property to symmetric runs: with Options.Symmetry set,
+// every mode — exact, incremental and the orbit-quotient symmetric mode —
+// produces the identical accepted-move sequence, Result and best graph,
 // at every worker count.
 func TestSymmetricEvalModesProduceIdenticalRuns(t *testing.T) {
 	cases := []struct {
@@ -70,7 +70,7 @@ func TestSymmetricEvalModesProduceIdenticalRuns(t *testing.T) {
 		exactO := base
 		exactO.Eval = EvalExact
 		wantG, wantRes, wantTraj := symRunWithTrajectory(t, start, exactO, 7)
-		for _, mode := range []EvalMode{EvalIncremental, EvalLadder, EvalSymmetric} {
+		for _, mode := range []EvalMode{EvalIncremental, EvalSymmetric} {
 			for _, workers := range []int{1, 3} {
 				o := base
 				o.Eval = mode
@@ -107,7 +107,7 @@ func TestSymmetricEvalModesProduceIdenticalRuns(t *testing.T) {
 }
 
 // TestCalibratedTempIdenticalAcrossEvalModes: calibration scores its
-// sample moves through the run's own rung (full sweeps in exact mode,
+// sample moves through the run's own mode (full sweeps in exact mode,
 // incremental peeks otherwise), so every mode must calibrate the same
 // InitialTemp for a seed, bit for bit, on generic and symmetric starts and
 // for every move set.
@@ -115,7 +115,7 @@ func TestCalibratedTempIdenticalAcrossEvalModes(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		for _, sym := range []int{0, 2, 4} {
 			var start *hsgraph.Graph
-			modes := []EvalMode{EvalExact, EvalIncremental, EvalLadder}
+			modes := []EvalMode{EvalExact, EvalIncremental}
 			if sym > 1 {
 				start = symStart(t, sym, seed)
 				modes = append(modes, EvalSymmetric)
@@ -203,10 +203,11 @@ func TestResumeFingerprintsSymmetry(t *testing.T) {
 	const sym = 4
 	start := symStart(t, sym, 5)
 
-	// Uninterrupted reference: symmetric moves on the generic ladder rung
-	// (so the resume-side Eval can stay EvalLadder while Symmetry varies).
+	// Uninterrupted reference: symmetric moves on the generic incremental
+	// cache (so the resume-side Eval can stay EvalIncremental while
+	// Symmetry varies).
 	o := ckptBaseOptions()
-	o.Eval = EvalLadder
+	o.Eval = EvalIncremental
 	o.Symmetry = sym
 	wantG, wantRes, err := Anneal(start.Clone(), o)
 	if err != nil {
@@ -217,7 +218,7 @@ func TestResumeFingerprintsSymmetry(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sym.ckpt")
 	var stop atomic.Bool
 	ko := ckptBaseOptions()
-	ko.Eval = EvalLadder
+	ko.Eval = EvalIncremental
 	ko.Symmetry = sym
 	ko.CheckpointPath = path
 	ko.CheckpointEvery = 100
@@ -233,7 +234,7 @@ func TestResumeFingerprintsSymmetry(t *testing.T) {
 
 	resume := func(symmetry int) (*hsgraph.Graph, Result, error) {
 		ro := ckptBaseOptions()
-		ro.Eval = EvalLadder
+		ro.Eval = EvalIncremental
 		ro.Symmetry = symmetry
 		ro.CheckpointPath = path
 		ro.Resume = true
@@ -359,7 +360,7 @@ func TestSymmetryOptionValidation(t *testing.T) {
 }
 
 // TestAnnealRefusesOversizedIncrementalGraphs pins the documented error
-// that replaced the silent attach-time panic: every cache-backed rung
+// that replaced the silent attach-time panic: every cache-backed mode
 // refuses graphs beyond hsgraph.MaxIncrementalSwitches and points at
 // EvalExact.
 func TestAnnealRefusesOversizedIncrementalGraphs(t *testing.T) {
@@ -381,7 +382,6 @@ func TestAnnealRefusesOversizedIncrementalGraphs(t *testing.T) {
 		sym  int
 	}{
 		{EvalIncremental, 0},
-		{EvalLadder, 0},
 		{EvalSymmetric, 3}, // 3 divides 20001; the size check still fires first
 	} {
 		_, _, err := Anneal(g, Options{Iterations: 1, Eval: tc.mode, Symmetry: tc.sym, Seed: 1})

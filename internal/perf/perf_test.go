@@ -200,12 +200,16 @@ func TestProfileCapturesLabels(t *testing.T) {
 	// enough (~60ms per rep) for the 100 Hz CPU sampler to land plenty
 	// of samples in both the harness goroutine (workload/stage labels
 	// from pprof.Do) and the pool workers (stage/worker goroutine
-	// labels set in hsgraph.NewEvaluator).
-	const probeName = "eval/profile-probe/n=512,r=12"
+	// labels set in hsgraph.NewEvaluator). The graph is large enough
+	// (m=672, ~80 µs per 128-source shard on a 2-vCPU Xeon VM) for the
+	// pool goroutines to wake and claim shards before the caller drains
+	// the queue; with n=512 (~15 µs shards) no worker sample landed in
+	// about a quarter of runs.
+	const probeName = "eval/profile-probe/n=2048,r=12"
 	probe := Workload{
 		Name: probeName, Family: "eval", Unit: "pairs",
 		Setup: func(Config) (*Instance, error) {
-			g, err := evalGraph(512, 12)
+			g, err := evalGraph(2048, 12)
 			if err != nil {
 				return nil, err
 			}

@@ -46,7 +46,7 @@ func init() {
 	registerAnnealObservedSpans()
 	registerAnnealStored()
 	registerAnnealSharded()
-	registerAnnealLadder()
+	registerAnnealExact()
 	registerEvalOrbit()
 	registerAnnealSymmetric()
 	registerSimnet("CG")
@@ -126,8 +126,8 @@ func registerEval(n, r int) {
 }
 
 // registerEvalIncremental measures the dirty-source resweep that backs
-// the evaluation ladder: a fixed script of edge remove/re-add moves, each
-// followed by an incremental Energy, so the cost per move is the resweep
+// the incremental evaluation mode: a fixed script of edge remove/re-add
+// moves, each followed by an incremental Energy, so the cost per move is the resweep
 // of the move's dirty cone rather than a full sweep. The script restores
 // the starting edge set, so every rep does identical work.
 func registerEvalIncremental(n, r int) {
@@ -385,41 +385,35 @@ func registerAnnealSharded() {
 	})
 }
 
-// registerAnnealLadder pits the evaluation ladder against the exact rung
-// at paper scale (n=1024): same graph, same seed, same accepted-move
-// sequence by construction, so the moves/s ratio between the two
-// workloads is the ladder speedup. r=9 swing moves put the dirty cone at
-// ~a quarter of the switches, the regime the ladder is built for; a
-// single worker keeps the comparison a straight single-thread one
-// instead of measuring goroutine scheduling.
-func registerAnnealLadder() {
+// registerAnnealExact measures the SA hot path at paper scale (n=1024) on
+// the exact evaluation mode: r=9 swing moves put the dirty cone at ~a
+// quarter of the switches, and a single worker keeps it a straight
+// single-thread measurement instead of goroutine scheduling.
+func registerAnnealExact() {
 	const n, r, iters = 1024, 9, 2000
-	for _, mode := range []opt.EvalMode{opt.EvalExact, opt.EvalLadder} {
-		mode := mode
-		Register(Workload{
-			Name:   fmt.Sprintf("anneal/%s/n=%d,r=%d,iters=%d", mode, n, r, iters),
-			Family: "anneal",
-			Doc:    fmt.Sprintf("SA hot path at paper scale, %s evaluation rung", mode),
-			Unit:   "moves",
-			Setup: func(Config) (*Instance, error) {
-				start, err := evalGraph(n, r)
-				if err != nil {
-					return nil, err
+	Register(Workload{
+		Name:   fmt.Sprintf("anneal/exact/n=%d,r=%d,iters=%d", n, r, iters),
+		Family: "anneal",
+		Doc:    "SA hot path at paper scale, exact evaluation mode",
+		Unit:   "moves",
+		Setup: func(Config) (*Instance, error) {
+			start, err := evalGraph(n, r)
+			if err != nil {
+				return nil, err
+			}
+			// Explicit temperatures skip the shared calibration phase,
+			// so the measurement is the move loop itself.
+			o := opt.Options{Iterations: iters, Seed: 2, Workers: 1,
+				Moves: opt.SwingOnly, Eval: opt.EvalExact,
+				InitialTemp: 500, FinalTemp: 2.5}
+			return &Instance{Run: func() (float64, error) {
+				if _, _, err := opt.Anneal(start, o); err != nil {
+					return 0, err
 				}
-				// Explicit temperatures skip the shared calibration phase,
-				// so the measurement is the move loop itself.
-				o := opt.Options{Iterations: iters, Seed: 2, Workers: 1,
-					Moves: opt.SwingOnly, Eval: mode,
-					InitialTemp: 500, FinalTemp: 2.5}
-				return &Instance{Run: func() (float64, error) {
-					if _, _, err := opt.Anneal(start, o); err != nil {
-						return 0, err
-					}
-					return float64(iters), nil
-				}}, nil
-			},
-		})
-	}
+				return float64(iters), nil
+			}}, nil
+		},
+	})
 }
 
 func registerSimnet(bench string) {
@@ -606,46 +600,32 @@ func registerEvalOrbit() {
 	})
 }
 
-// registerAnnealSymmetric is the tentpole's headline measurement: the SA
-// move loop on a 4-symmetric n=4096 instance, symmetric move operators in
-// both workloads, differing only in the evaluation rung — the generic
-// ladder versus the orbit-quotient symmetric mode. Both produce the
-// identical accepted-move sequence (the eval-equivalence property), so
-// the moves/s ratio is exactly the orbit-quotient speedup; the issue's
-// acceptance bar is >= 3x at this size. Explicit temperatures skip the
-// calibration phase and a single worker keeps it a straight
-// single-thread comparison, as in registerAnnealLadder.
+// registerAnnealSymmetric measures the SA move loop on a 4-symmetric
+// n=4096 instance with symmetric move operators on the orbit-quotient
+// evaluation mode. Explicit temperatures skip the calibration phase and a
+// single worker keeps it a straight single-thread measurement, as in
+// registerAnnealExact.
 func registerAnnealSymmetric() {
 	const n, m, r, iters, sym = 4096, 1024, 12, 600, 4
-	for _, w := range []struct {
-		name string
-		doc  string
-		mode opt.EvalMode
-	}{
-		{"anneal/symmetric-ladder", "symmetric SA moves on the generic ladder rung (the comparator)", opt.EvalLadder},
-		{"anneal/symmetric", "symmetric SA moves on the orbit-quotient rung", opt.EvalSymmetric},
-	} {
-		w := w
-		Register(Workload{
-			Name:   fmt.Sprintf("%s/n=%d,g=%d,iters=%d", w.name, n, sym, iters),
-			Family: "anneal",
-			Doc:    w.doc,
-			Unit:   "moves",
-			Setup: func(Config) (*Instance, error) {
-				start, err := topo.RandomSymmetric(n, m, r, sym, 1)
-				if err != nil {
-					return nil, err
+	Register(Workload{
+		Name:   fmt.Sprintf("anneal/symmetric/n=%d,g=%d,iters=%d", n, sym, iters),
+		Family: "anneal",
+		Doc:    "symmetric SA moves on the orbit-quotient evaluation mode",
+		Unit:   "moves",
+		Setup: func(Config) (*Instance, error) {
+			start, err := topo.RandomSymmetric(n, m, r, sym, 1)
+			if err != nil {
+				return nil, err
+			}
+			o := opt.Options{Iterations: iters, Seed: 2, Workers: 1,
+				Moves: opt.SwingOnly, Eval: opt.EvalSymmetric, Symmetry: sym,
+				InitialTemp: 2000, FinalTemp: 10}
+			return &Instance{Run: func() (float64, error) {
+				if _, _, err := opt.Anneal(start, o); err != nil {
+					return 0, err
 				}
-				o := opt.Options{Iterations: iters, Seed: 2, Workers: 1,
-					Moves: opt.SwingOnly, Eval: w.mode, Symmetry: sym,
-					InitialTemp: 2000, FinalTemp: 10}
-				return &Instance{Run: func() (float64, error) {
-					if _, _, err := opt.Anneal(start, o); err != nil {
-						return 0, err
-					}
-					return float64(iters), nil
-				}}, nil
-			},
-		})
-	}
+				return float64(iters), nil
+			}}, nil
+		},
+	})
 }

@@ -69,13 +69,13 @@ func executeEval(j *job) (json.RawMessage, error) {
 
 // logObserver streams anneal telemetry into the job's event log, with
 // the same field keys cmd/orpcli writes to -trace-out files, and
-// forwards the evaluation-ladder counters to the orpd_* instruments.
+// forwards the incremental cache's counters to the orpd_inc_* instruments.
 //
 // The engine's EvalStats are cumulative per restart; the observer keeps
 // the previous snapshot per restart and adds only the delta, so the
 // service counters stay monotone across concurrent jobs and restarts.
 // A snapshot that runs backwards means the engine's counters restarted
-// (a preempted job resumed: the ladder state is not checkpointed) — the
+// (a preempted job resumed: the cache state is not checkpointed) — the
 // whole new snapshot is fresh work then.
 type logObserver struct {
 	log *eventLog
@@ -101,13 +101,9 @@ func (o *logObserver) ObserveAnneal(sm opt.AnnealSample) {
 		"restart":     float64(sm.Restart),
 	}
 	if ev := sm.Eval; ev != (opt.EvalStats{}) {
-		f["boundDecided"] = float64(ev.BoundDecided)
-		f["escalated"] = float64(ev.Escalated)
-		f["unbounded"] = float64(ev.Unbounded)
 		f["incSyncs"] = float64(ev.Inc.Syncs)
 		f["incFullRebuilds"] = float64(ev.Inc.FullRebuilds)
 		f["incPeeks"] = float64(ev.Inc.Peeks)
-		f["incEstimates"] = float64(ev.Inc.Estimates)
 	}
 	o.log.Append(obs.Event{T: sm.Elapsed, Kind: obs.KindAnnealSample, F: f})
 
@@ -119,9 +115,6 @@ func (o *logObserver) ObserveAnneal(sm opt.AnnealSample) {
 	o.last[sm.Restart] = sm.Eval
 	o.mu.Unlock()
 	ev, pv := sm.Eval, prev
-	addDelta(o.met.ladderBound, ev.BoundDecided, pv.BoundDecided)
-	addDelta(o.met.ladderEscalated, ev.Escalated, pv.Escalated)
-	addDelta(o.met.ladderUnbounded, ev.Unbounded, pv.Unbounded)
 	addDelta(o.met.incSyncs, ev.Inc.Syncs, pv.Inc.Syncs)
 	addDelta(o.met.incRebuilds, ev.Inc.FullRebuilds, pv.Inc.FullRebuilds)
 	addDelta(o.met.incPeekReuses, ev.Inc.StoredPeekReuses, pv.Inc.StoredPeekReuses)

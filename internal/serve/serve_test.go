@@ -234,18 +234,72 @@ func TestSubmitValidation(t *testing.T) {
 	s := testServer(t, Config{Workers: 1})
 	bad := []JobSpec{
 		{Type: "mine-bitcoin"},
-		{Type: TypeEval},                                    // no graph source
-		{Type: TypeEval, N: 48, R: 6},                       // eval needs m
-		{Type: TypeEval, Graph: "garbage"},                  // unparseable
-		{Type: TypeAnneal, N: 48, R: 6, Graph: "x", M: 16},  // both sources
-		{Type: TypeAnneal, N: 48, R: 6, EvalMode: "wrong"},  // bad enum
-		{Type: TypeSweep, N: 48, M: 16, R: 6, Model: "bad"}, // bad model
+		{Type: TypeEval},                                       // no graph source
+		{Type: TypeEval, N: 48, R: 6},                          // eval needs m
+		{Type: TypeEval, Graph: "garbage"},                     // unparseable
+		{Type: TypeAnneal, N: 48, R: 6, Graph: "x", M: 16},     // both sources
+		{Type: TypeAnneal, N: 48, R: 6, EvalMode: "wrong"},     // bad enum
+		{Type: TypeAnneal, N: 48, R: 6, EvalMode: "symmetric"}, // needs a symmetry order
+		{Type: TypeAnneal, N: 48, R: 6, EvalMode: "ladder"},    // retired sampled mode
+		{Type: TypeSweep, N: 48, M: 16, R: 6, Model: "bad"},    // bad model
 		{Type: TypeSweep, N: 48, M: 16, R: 6, Fractions: []float64{2}},
 		{Type: TypeEval, N: 48, M: 16, R: 6, Workers: -1},
 	}
 	for i, spec := range bad {
-		if _, err := s.Submit(spec); err == nil {
+		_, err := s.Submit(spec)
+		if err == nil {
 			t.Errorf("spec %d accepted: %+v", i, spec)
+			continue
+		}
+		if spec.EvalMode != "" && !strings.Contains(err.Error(), "exact or incremental") {
+			t.Errorf("spec %d: error %q does not name the valid eval modes", i, err)
+		}
+	}
+
+	// Over HTTP a mode orpd cannot run is refused up front with a 400,
+	// not accepted and failed at run time.
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := `{"type":"anneal","n":32,"r":4,"iterations":300,"seed":11,"evalMode":"symmetric"}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("evalMode symmetric: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestAnnealCacheIgnoresEvalMode: exact and incremental evaluation give
+// the same result bytes, so the evaluation mode is not part of the cache
+// key. A spec that differs only in evalMode is a cache hit, and its bytes
+// equal a cold run of that mode on a fresh server.
+func TestAnnealCacheIgnoresEvalMode(t *testing.T) {
+	base := JobSpec{Type: TypeAnneal, Graph: graphText(t, 48, 16, 6, 3), Iterations: 1500, Seed: 5}
+	for _, modes := range [][2]string{{"exact", "incremental"}, {"incremental", ""}} {
+		first, second := base, base
+		first.EvalMode, second.EvalMode = modes[0], modes[1]
+
+		s := testServer(t, Config{Workers: 2})
+		st1 := submitDone(t, s, first)
+		st2, err := s.Submit(second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st2.Cached || st2.State != StateDone {
+			t.Fatalf("%q after %q: not a cache hit (state %s)", modes[1], modes[0], st2.State)
+		}
+		if !bytes.Equal(st1.Result, st2.Result) {
+			t.Fatalf("%q after %q: cache hit bytes differ", modes[1], modes[0])
+		}
+
+		cold := submitDone(t, testServer(t, Config{Workers: 2}), second)
+		if cold.Cached {
+			t.Fatal("fresh server claims a cache hit")
+		}
+		if !bytes.Equal(cold.Result, st2.Result) {
+			t.Fatalf("cold %q run differs from the %q bytes it was served:\n%s\nvs\n%s", modes[1], modes[0], cold.Result, st2.Result)
 		}
 	}
 }

@@ -66,9 +66,8 @@ type metrics struct {
 	httpReq map[string]map[string]*obs.Counter // endpoint -> class -> counter
 	httpSec map[string]*obs.Histogram          // endpoint -> latency histogram
 
-	// Evaluation-ladder introspection, aggregated across jobs from the
-	// per-restart EvalStats deltas (see evalStatsSink).
-	ladderBound, ladderEscalated, ladderUnbounded  *obs.Counter
+	// Incremental-cache introspection, aggregated across jobs from the
+	// per-restart EvalStats deltas (see logObserver).
 	incSyncs, incRebuilds, incPeekReuses, incSwept *obs.Counter
 	incDirty                                       *obs.Counter
 
@@ -92,14 +91,11 @@ func newMetrics(reg *obs.Registry) *metrics {
 		jobSeconds:  reg.Histogram("orpd_job_seconds", "Wall-clock of one engine run.", obs.ExpBuckets(1e-4, 2, 24)),
 		httpSeconds: reg.Histogram("orpd_http_request_seconds", "Wall-clock of one API request.", obs.ExpBuckets(1e-5, 2, 22)),
 
-		ladderBound:     reg.Counter("orpd_ladder_bound_decided_total", "Anneal candidates settled by the sampled bound alone."),
-		ladderEscalated: reg.Counter("orpd_ladder_escalated_total", "Anneal candidates escalated to the exact evaluation rung."),
-		ladderUnbounded: reg.Counter("orpd_ladder_unbounded_total", "Delta estimates the incremental cache refused to bound."),
-		incSyncs:        reg.Counter("orpd_inc_syncs_total", "Incremental-cache commits with pending work."),
-		incRebuilds:     reg.Counter("orpd_inc_full_rebuilds_total", "Incremental-cache commits that fell back to a full rebuild."),
-		incPeekReuses:   reg.Counter("orpd_inc_stored_peek_reuses_total", "Incremental-cache commits that re-swept the dirty list stamped by a peek of the same state."),
-		incSwept:        reg.Counter("orpd_inc_swept_sources_total", "Source rows swept into the incremental cache."),
-		incDirty:        reg.Counter("orpd_inc_dirty_sources_total", "Dirty sources seen at incremental-cache commits."),
+		incSyncs:      reg.Counter("orpd_inc_syncs_total", "Incremental-cache commits with pending work."),
+		incRebuilds:   reg.Counter("orpd_inc_full_rebuilds_total", "Incremental-cache commits that fell back to a full rebuild."),
+		incPeekReuses: reg.Counter("orpd_inc_stored_peek_reuses_total", "Incremental-cache commits that re-swept the dirty list stamped by a peek of the same state."),
+		incSwept:      reg.Counter("orpd_inc_swept_sources_total", "Source rows swept into the incremental cache."),
+		incDirty:      reg.Counter("orpd_inc_dirty_sources_total", "Dirty sources seen at incremental-cache commits."),
 
 		storeAppends: reg.Counter("orpd_store_appends_total", "Run records appended to the persistent store."),
 		storeLookups: reg.Counter("orpd_store_lookups_total", "Result-cache misses that consulted the persistent store."),

@@ -72,7 +72,7 @@ type JobSpec struct {
 	Iterations int    `json:"iterations,omitempty"` // default 50000 (core.Solve's default)
 	Seed       uint64 `json:"seed,omitempty"`
 	Restarts   int    `json:"restarts,omitempty"` // independent SA runs, best wins; default 1
-	EvalMode   string `json:"evalMode,omitempty"` // exact|incremental|ladder (opt.ParseEvalMode)
+	EvalMode   string `json:"evalMode,omitempty"` // exact (default) or incremental; not part of the cache key
 
 	// Sweep options (TypeSweep).
 	Model     string    `json:"model,omitempty"`     // links|switches|bundles|targeted
@@ -108,9 +108,11 @@ func (sp *JobSpec) normalize() (g *hsgraph.Graph, mode opt.EvalMode, model fault
 			return nil, 0, 0, fmt.Errorf("serve: %s jobs need a concrete graph: inline text or m >= 1", sp.Type)
 		}
 	}
+	// Symmetric evaluation needs a symmetry order, which JobSpec does not
+	// carry, so only the two generic modes are runnable here.
 	mode, err = opt.ParseEvalMode(sp.EvalMode)
-	if err != nil {
-		return nil, 0, 0, err
+	if err != nil || mode == opt.EvalSymmetric {
+		return nil, 0, 0, fmt.Errorf("serve: unsupported evalMode %q (want exact or incremental)", sp.EvalMode)
 	}
 	if sp.Type == TypeSweep {
 		if sp.Model == "" {
@@ -158,17 +160,17 @@ func (sp *JobSpec) normalize() (g *hsgraph.Graph, mode opt.EvalMode, model fault
 // more now that keys outlive the process: the persistent run store
 // serves old bytes under their recorded key, and a domain bump is what
 // keeps a schema change from replaying them. (v1 → v2: anneal results
-// gained the always-on energy trace.)
-const cacheKeyDomain = "orp.serve.job.v2"
+// gained the always-on energy trace. v2 → v3: the evaluation mode left
+// the key.)
+const cacheKeyDomain = "orp.serve.job.v3"
 
 // cacheKey is the content address of a job's result: a hash over the
 // canonical identity of the query. Every result-defining field goes in —
 // the graph (by canonical fingerprint, so storage order is invisible) or
-// its generation parameters, and all engine options including the
-// evaluation mode (exact/incremental are bit-identical by construction,
-// but ladder carries a ~1e-6 sampled-bound failure probability, so modes
-// are conservatively kept distinct). Workers and Priority stay out:
-// results are worker-invariant and scheduling never changes a result.
+// its generation parameters, and the engine options. EvalMode, Workers
+// and Priority stay out: exact and incremental evaluation compute the
+// same energies bit for bit, results are worker-invariant, and
+// scheduling never changes a result.
 func (sp *JobSpec) cacheKey(g *hsgraph.Graph) string {
 	h := sha256.New()
 	w := func(parts ...any) {
@@ -185,7 +187,7 @@ func (sp *JobSpec) cacheKey(g *hsgraph.Graph) string {
 	}
 	switch sp.Type {
 	case TypeAnneal:
-		w(sp.Iterations, sp.Seed, sp.Restarts, sp.EvalMode)
+		w(sp.Iterations, sp.Seed, sp.Restarts)
 	case TypeSweep:
 		// Fraction order is kept: []SweepPoint comes back in the given
 		// order, so reordering fractions is a different (reordered) result.

@@ -345,15 +345,15 @@ func TestListStateFilterHTTP(t *testing.T) {
 
 // TestServiceMetricsExposition pins the instrument surface the dashboard
 // (cmd/orptop) and CI scrape: flat legacy families survive, the RED
-// per-endpoint children appear, and a ladder-mode anneal feeds the
-// orpd_ladder_* / orpd_inc_* counters.
+// per-endpoint children appear, and an incremental-mode anneal feeds the
+// orpd_inc_* counters.
 func TestServiceMetricsExposition(t *testing.T) {
 	s := testServer(t, Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	body := `{"type":"anneal","graph":` + jsonString(graphText(t, 48, 16, 6, 3)) +
-		`,"iterations":4000,"seed":5,"evalMode":"ladder"}`
+		`,"iterations":4000,"seed":5,"evalMode":"incremental"}`
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -390,14 +390,14 @@ func TestServiceMetricsExposition(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-	// The ladder run reported at least one sampling interval, so the
+	// The incremental run reported at least one sampling interval, so the
 	// introspection counters moved.
 	fams, err := obs.ParsePrometheus(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		"orpd_ladder_bound_decided_total", "orpd_inc_syncs_total", "orpd_inc_swept_sources_total",
+		"orpd_inc_syncs_total", "orpd_inc_swept_sources_total", "orpd_inc_dirty_sources_total",
 	} {
 		if v, ok := scalarMetric(fams, name); !ok || v <= 0 {
 			t.Errorf("%s = %v (present %v), want > 0", name, v, ok)
