@@ -3,11 +3,10 @@
 // the headline quantity of each as a custom metric. Full-scale runs are
 // the job of cmd/orpfigures (-paper).
 //
-// Hot-path benchmarks (h-ASPL evaluation engines, the SA move loop, the
-// telemetry overhead pair) live in evaluator_bench_test.go and
-// obs_bench_test.go as shims over the internal/perf workload registry —
-// the same bodies cmd/orpbench measures into the BENCH_*.json
-// performance trajectory.
+// The telemetry overhead benchmarks live in obs_bench_test.go and the
+// kernel microbenchmarks (evaluator, incremental moves, snapshot codec,
+// NPB over simnet) in their own packages. End-to-end latency is measured
+// by bench/ (bash bench/run.sh; see bench/README.md).
 package repro
 
 import (

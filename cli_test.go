@@ -20,7 +20,10 @@ import (
 // CLI integration tests: build every command once, then drive the
 // binaries end to end the way a user would (solve -> eval -> sim).
 
-var binDir string
+var (
+	binDir string
+	tools  []string // every command under cmd/
+)
 
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "orp-bins-*")
@@ -30,7 +33,17 @@ func TestMain(m *testing.M) {
 	}
 	defer os.RemoveAll(dir)
 	binDir = dir
-	for _, tool := range []string{"orpsolve", "orpeval", "orptopo", "orpsim", "orpgolf", "orptraffic", "orpfigures", "orpmap", "orpfault", "orptrace", "orpbench", "orphist"} {
+	entries, err := os.ReadDir("cmd")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	for _, e := range entries {
+		if e.IsDir() {
+			tools = append(tools, e.Name())
+		}
+	}
+	for _, tool := range tools {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "./cmd/"+tool)
 		cmd.Stderr = os.Stderr
 		if err := cmd.Run(); err != nil {
@@ -82,6 +95,19 @@ func runTool(t *testing.T, tool string, stdin []byte, args ...string) (string, s
 		t.Fatalf("%s %v: %v\nstderr: %s", tool, args, err, errb.String())
 	}
 	return out.String(), errb.String()
+}
+
+// TestCLIVersionFlag: every command reports the shared build identity.
+func TestCLIVersionFlag(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI pipeline in -short mode")
+	}
+	for _, tool := range tools {
+		out, _ := runTool(t, tool, nil, "-version")
+		if !strings.HasPrefix(out, tool+": repro") {
+			t.Fatalf("%s -version output %q, want prefix %q", tool, out, tool+": repro")
+		}
+	}
 }
 
 func TestCLISolveEvalPipeline(t *testing.T) {

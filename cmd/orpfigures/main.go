@@ -3,6 +3,7 @@
 //
 // Usage:
 //
+//	orpfigures -fig 1                     # example host-switch graph (DOT)
 //	orpfigures -fig 5 [-n 1024 -r 24]     # h-ASPL vs m
 //	orpfigures -fig 6                     # host distribution at m_opt
 //	orpfigures -fig 7                     # Moore vs continuous Moore
@@ -12,7 +13,6 @@
 //	orpfigures -fig 11                    # fat-tree comparison (a-d)
 //	orpfigures -fig resilience            # degradation under random failures
 //	orpfigures -fig convergence           # SA convergence by move set
-//	orpfigures -fig perf                  # orpbench BENCH_*.json trajectory
 //	orpfigures -fig all
 //
 // By default the experiments run at a reduced scale so a full regeneration
@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/cliutil"
@@ -34,17 +33,16 @@ import (
 
 func main() {
 	var (
-		fig       = flag.String("fig", "all", "figure to regenerate: 5, 6, 7, 8, 9, 10, 11, ablation, resilience, convergence, perf or all")
-		benchGlob = flag.String("bench-glob", "BENCH_*.json", "report files for -fig perf")
-		n         = flag.Int("n", 0, "order override for figs 5-8")
-		r         = flag.Int("r", 0, "radix override for figs 5-8")
-		paper     = flag.Bool("paper", false, "paper-scale parameters (slow)")
-		ranks     = flag.Int("ranks", 0, "MPI ranks for figs 9a/10a/11a (0 = default)")
-		iters     = flag.Int("iters", 0, "SA iterations (0 = default)")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		benches   = flag.String("benchmarks", "", "comma-separated NPB subset for the performance panels")
-		asJSON    = flag.Bool("json", false, "emit JSON instead of text tables (figs 5 and 7)")
-		workers   = flag.Int("workers", 0, "h-ASPL evaluation shard workers per SA run (0 = serial; figures already parallelise across runs)")
+		fig     = flag.String("fig", "all", "figure to regenerate: 1, 5, 6, 7, 8, 9, 10, 11, ablation, resilience, convergence or all")
+		n       = flag.Int("n", 0, "order override for figs 5-8")
+		r       = flag.Int("r", 0, "radix override for figs 5-8")
+		paper   = flag.Bool("paper", false, "paper-scale parameters (slow)")
+		ranks   = flag.Int("ranks", 0, "MPI ranks for figs 9a/10a/11a (0 = default)")
+		iters   = flag.Int("iters", 0, "SA iterations (0 = default)")
+		seed    = flag.Uint64("seed", 1, "random seed")
+		benches = flag.String("benchmarks", "", "comma-separated NPB subset for the performance panels")
+		asJSON  = flag.Bool("json", false, "emit JSON instead of text tables (figs 5 and 7)")
+		workers = flag.Int("workers", 0, "h-ASPL evaluation shard workers per SA run (0 = serial; figures already parallelise across runs)")
 	)
 	version := cliutil.VersionFlag()
 	flag.Parse()
@@ -174,30 +172,6 @@ func main() {
 	}
 	run("ablation", func() error { return ablations(o) })
 	run("resilience", func() error { return resilience(o) })
-	run("perf", func() error {
-		paths, err := filepath.Glob(*benchGlob)
-		if err != nil {
-			return err
-		}
-		if len(paths) == 0 {
-			if *fig == "all" {
-				// -fig all must keep working outside the repo root,
-				// where no trajectory files exist.
-				fmt.Fprintf(os.Stderr, "orpfigures: fig perf: no reports match %q, skipping\n", *benchGlob)
-				return nil
-			}
-			return fmt.Errorf("no reports match %q", *benchGlob)
-		}
-		f, err := figures.PerfTrajectory(paths)
-		if err != nil {
-			return err
-		}
-		if *asJSON {
-			return f.WriteJSON(os.Stdout)
-		}
-		fmt.Println(f.Format())
-		return nil
-	})
 	run("convergence", func() error {
 		// Same (n, m, r) grid as the move-set ablation; the figure shows how
 		// fast each neighbourhood converges rather than only where it lands.

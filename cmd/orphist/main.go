@@ -15,7 +15,7 @@
 //	orphist -store runs/ compact
 //
 // check exits 3 when the candidate regresses on the stored best of its
-// cell (the convention orpbench -compare uses), so CI can gate on it.
+// cell (the convention bench/run.sh --compare uses), so CI can gate on it.
 // All query subcommands open the store read-only; a missing store is an
 // empty history, not an error. Skipped regions (torn tail after a
 // crash, records from a different binary version) are reported on
@@ -355,7 +355,7 @@ func runCheck(dir string, args []string) {
 		}
 	}
 	if res.Regressed {
-		os.Exit(3) // the orpbench -compare convention: regression = exit 3
+		os.Exit(3) // the bench/run.sh --compare convention: regression = exit 3
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package buildinfo exposes the build identity of the running binary —
 // module path, VCS revision, dirtiness, Go version — read once from
 // runtime/debug.ReadBuildInfo. Every surface that records "which build
-// produced this" (the CLIs' -version flag, bench reports, the obs JSONL
-// event header) goes through this package so they can never disagree.
+// produced this" (the CLIs' -version flag, orpd's /healthz and run-store
+// records, the obs JSONL event header) goes through this package so they
+// can never disagree.
 package buildinfo
 
 import (

@@ -56,9 +56,9 @@ func TestReadNilInfo(t *testing.T) {
 
 func TestFprintln(t *testing.T) {
 	var buf bytes.Buffer
-	Fprintln(&buf, "orpbench")
+	Fprintln(&buf, "orpsolve")
 	out := buf.String()
-	if !strings.HasPrefix(out, "orpbench: ") || !strings.HasSuffix(out, "\n") {
+	if !strings.HasPrefix(out, "orpsolve: ") || !strings.HasSuffix(out, "\n") {
 		t.Fatalf("Fprintln output %q", out)
 	}
 }

@@ -65,8 +65,8 @@ func NewEvaluator(workers int) *Evaluator {
 		e.done = make(chan struct{}, workers-1)
 		for i := 1; i < workers; i++ {
 			go func(i int) {
-				// Label the pool goroutine so CPU profiles (orpbench
-				// -profile-dir, the -metrics-addr /debug/pprof endpoint)
+				// Label the pool goroutine so CPU profiles (go test
+				// -cpuprofile, the -metrics-addr /debug/pprof endpoint)
 				// attribute shard time to the evaluation stage per worker.
 				pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
 					pprof.Labels("stage", "eval", "worker", strconv.Itoa(i))))
@@ -207,8 +207,7 @@ func (e *Evaluator) apsp(g *Graph, total, pairs int64, diam int, allAttached boo
 }
 
 // runSweep runs the sharded bit-parallel sweep from the sources currently
-// in e.srcs and merges the per-shard totals. The OrbitEvaluator reuses it
-// with orbit-representative sources only.
+// in e.srcs and merges the per-shard totals.
 func (e *Evaluator) runSweep(g *Graph) batchTotals {
 	n := len(e.srcs)
 	// Chunks hold at most 128 sources (two machine words); when the pool

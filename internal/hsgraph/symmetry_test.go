@@ -177,89 +177,11 @@ func TestVerifySymmetric(t *testing.T) {
 	}
 }
 
-// TestOrbitEvaluatorDifferential is the tentpole's correctness anchor:
-// on symmetric graphs of every regime — connected, disconnected, hosts
-// unattached, antipodal orbits — the orbit-quotient evaluator and the
-// orbit-mode incremental evaluator report bit-identical Metrics and
-// Energy to the generic serial evaluation, at every worker count.
-func TestOrbitEvaluatorDifferential(t *testing.T) {
-	rnd := rng.New(20260808)
-	shared := map[int]*OrbitEvaluator{} // long-lived, reused across graphs
-	defer func() {
-		for _, oe := range shared {
-			oe.Close()
-		}
-	}()
-	trials, disconnected, unattached := 0, 0, 0
-	for trials < 220 {
-		g, sym := symTestGraph(t, rnd)
-		trials++
-		want := g.EvaluateSlow()
-		if !want.Connected {
-			disconnected++
-		}
-		bearing := 0
-		for s := 0; s < g.Switches(); s++ {
-			if g.HostCount(s) > 0 {
-				bearing++
-			}
-		}
-		if bearing > 0 && g.HostCount(0) == 0 || g.Order() > 0 && g.SwitchOf(g.Order()-1) == -1 {
-			unattached++
-		}
-		for _, workers := range []int{1, 2, 3, 8, bearing + 1} {
-			oe := NewOrbitEvaluator(workers, sym)
-			got, err := oe.Evaluate(g)
-			if err != nil {
-				t.Fatalf("trial %d %v sym=%d workers=%d: Evaluate: %v", trials, g, sym, workers, err)
-			}
-			if got != want {
-				t.Fatalf("trial %d %v sym=%d workers=%d: orbit %+v != generic %+v", trials, g, sym, workers, got, want)
-			}
-			e, ok, err := oe.Energy(g)
-			if err != nil {
-				t.Fatalf("trial %d %v sym=%d workers=%d: Energy: %v", trials, g, sym, workers, err)
-			}
-			if ok != want.Connected || (ok && e != want.TotalPath) {
-				t.Fatalf("trial %d %v sym=%d workers=%d: Energy (%d,%v) inconsistent with %+v", trials, g, sym, workers, e, ok, want)
-			}
-			oe.Close()
-		}
-		// A long-lived OrbitEvaluator must behave identically across
-		// graphs of varying switch counts (buffer reuse) and repeats.
-		oe := shared[sym]
-		if oe == nil {
-			oe = NewOrbitEvaluator(3, sym)
-			shared[sym] = oe
-		}
-		for rep := 0; rep < 2; rep++ {
-			got, err := oe.Evaluate(g)
-			if err != nil {
-				t.Fatalf("trial %d sym=%d: shared Evaluate: %v", trials, sym, err)
-			}
-			if got != want {
-				t.Fatalf("trial %d sym=%d rep %d: shared orbit %+v != generic %+v", trials, sym, rep, got, want)
-			}
-		}
-		// Orbit-mode incremental cache: attach-time rebuild must agree.
-		ie := NewOrbitIncrementalEvaluator(1+rnd.Intn(4), sym)
-		e, ok := ie.Energy(g)
-		if ok != want.Connected || (ok && e != want.TotalPath) {
-			t.Fatalf("trial %d %v sym=%d: incremental Energy (%d,%v) inconsistent with %+v", trials, g, sym, e, ok, want)
-		}
-	}
-	if disconnected < 15 {
-		t.Fatalf("generator produced only %d disconnected graphs in %d trials", disconnected, trials)
-	}
-	if unattached < 5 {
-		t.Fatalf("generator produced only %d graphs with unattached hosts in %d trials", unattached, trials)
-	}
-}
-
 // TestOrbitIncrementalDifferential drives an orbit-mode incremental
 // evaluator and a generic one through the same sequence of orbit-closed
 // edits — commits, peeked-then-reverted candidates, whole-orbit removals
-// — asserting bit-identical energies at every step.
+// — asserting bit-identical energies at every step, and EvaluateSlow's at
+// attach and at the end.
 func TestOrbitIncrementalDifferential(t *testing.T) {
 	rnd := rng.New(777)
 	for trial := 0; trial < 30; trial++ {
@@ -267,6 +189,10 @@ func TestOrbitIncrementalDifferential(t *testing.T) {
 		mirror := g.Clone()
 		ie := NewOrbitIncrementalEvaluator(1+rnd.Intn(4), sym)
 		gen := NewIncrementalEvaluator(1 + rnd.Intn(4))
+		want := g.EvaluateSlow()
+		if e, ok := ie.Energy(g); ok != want.Connected || (ok && e != want.TotalPath) {
+			t.Fatalf("trial %d %v sym=%d: attach Energy (%d,%v) inconsistent with %+v", trial, g, sym, e, ok, want)
+		}
 		check := func(step string) {
 			eo, oko := ie.Energy(g)
 			eg, okg := gen.Energy(mirror)
@@ -324,50 +250,12 @@ func TestOrbitIncrementalDifferential(t *testing.T) {
 			check("step")
 		}
 		// Final states agree with from-scratch evaluation.
-		want := g.EvaluateSlow()
+		want = g.EvaluateSlow()
 		e, ok := ie.Energy(g)
 		if ok != want.Connected || (ok && e != want.TotalPath) {
 			t.Fatalf("trial %d sym=%d: final orbit Energy (%d,%v) inconsistent with %+v", trial, sym, e, ok, want)
 		}
 	}
-}
-
-// TestOrbitEvaluatorRejectsAsymmetric pins the fail-loud contract: a
-// graph outside the symmetric subspace gets an error, never a silently
-// wrong quotient evaluation.
-func TestOrbitEvaluatorRejectsAsymmetric(t *testing.T) {
-	rnd := rng.New(5)
-	var g *Graph
-	var sym int
-	for {
-		g, sym = symTestGraph(t, rnd)
-		if breakSymmetry(g, sym) {
-			break
-		}
-	}
-	oe := NewOrbitEvaluator(2, sym)
-	defer oe.Close()
-	if _, err := oe.Evaluate(g); err == nil || !strings.Contains(err.Error(), "symmetry") {
-		t.Fatalf("Evaluate on asymmetric graph: want symmetry error, got %v", err)
-	}
-	if _, _, err := oe.Energy(g); err == nil || !strings.Contains(err.Error(), "symmetry") {
-		t.Fatalf("Energy on asymmetric graph: want symmetry error, got %v", err)
-	}
-
-	// Orbit-mode incremental: attaching to an asymmetric graph panics.
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("orbit-mode attach to asymmetric graph: want panic")
-			}
-			if !strings.Contains(r.(string), "asymmetric") {
-				t.Fatalf("attach panic message %q lacks 'asymmetric'", r)
-			}
-		}()
-		ie := NewOrbitIncrementalEvaluator(1, sym)
-		ie.Energy(g)
-	}()
 }
 
 // breakSymmetry adds one edge whose σ-image stays absent, returning false
@@ -394,7 +282,9 @@ func breakSymmetry(g *Graph, sym int) bool {
 
 // TestOrbitIncrementalPanicsOnSymmetryBreak: an attached orbit-mode cache
 // that sees a symmetry-breaking edit must panic at the next sync or peek
-// — both the edge and the host variant.
+// — both the edge and the host variant — and attaching to a graph that is
+// already asymmetric panics at once: a quotient cache of an asymmetric
+// graph would silently mis-evaluate.
 func TestOrbitIncrementalPanicsOnSymmetryBreak(t *testing.T) {
 	expectPanic := func(name, needle string, mutate func(g *Graph, sym int) bool, probe func(ie *IncrementalEvaluator, g *Graph)) {
 		t.Helper()
@@ -440,10 +330,27 @@ func TestOrbitIncrementalPanicsOnSymmetryBreak(t *testing.T) {
 	expectPanic("edge/peek", "broke the order", edgeBreak, peekProbe)
 	expectPanic("host/sync", "broke the order", hostBreak, syncProbe)
 	expectPanic("host/peek", "broke the order", hostBreak, peekProbe)
+
+	rnd := rng.New(5)
+	g, sym := symTestGraph(t, rnd)
+	for !breakSymmetry(g, sym) {
+		g, sym = symTestGraph(t, rnd)
+	}
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("orbit-mode attach to asymmetric graph: want panic")
+		}
+		if !strings.Contains(r.(string), "asymmetric") {
+			t.Fatalf("attach panic message %q lacks 'asymmetric'", r)
+		}
+	}()
+	NewOrbitIncrementalEvaluator(1, sym).Energy(g)
 }
 
 // FuzzOrbitEval drives random symmetric graphs plus one orbit edit
-// through the orbit evaluators and cross-checks the generic path.
+// through the orbit-mode incremental evaluator and cross-checks each
+// energy against EvaluateSlow.
 func FuzzOrbitEval(f *testing.F) {
 	f.Add(uint64(1))
 	f.Add(uint64(42))
@@ -453,15 +360,6 @@ func FuzzOrbitEval(f *testing.F) {
 		rnd := rng.New(seed)
 		g, sym := symTestGraph(t, rnd)
 		want := g.EvaluateSlow()
-		oe := NewOrbitEvaluator(1+int(seed%4), sym)
-		defer oe.Close()
-		got, err := oe.Evaluate(g)
-		if err != nil {
-			t.Fatalf("Evaluate: %v", err)
-		}
-		if got != want {
-			t.Fatalf("orbit %+v != generic %+v", got, want)
-		}
 		ie := NewOrbitIncrementalEvaluator(1+int(seed%3), sym)
 		e, ok := ie.Energy(g)
 		if ok != want.Connected || (ok && e != want.TotalPath) {
@@ -480,13 +378,6 @@ func FuzzOrbitEval(f *testing.F) {
 		e, ok = ie.Energy(g)
 		if ok != want.Connected || (ok && e != want.TotalPath) {
 			t.Fatalf("post-edit incremental Energy (%d,%v) inconsistent with %+v", e, ok, want)
-		}
-		got, err = oe.Evaluate(g)
-		if err != nil {
-			t.Fatalf("post-edit Evaluate: %v", err)
-		}
-		if got != want {
-			t.Fatalf("post-edit orbit %+v != generic %+v", got, want)
 		}
 	})
 }

@@ -9,8 +9,8 @@ import (
 // operation applied simultaneously to a whole orbit of the cyclic group
 // action σ(s) = (s + m/sym) mod m — the base move plus its sym-1 images.
 // A graph that enters sym-symmetric leaves sym-symmetric, which is what
-// lets the orbit-quotient evaluators (hsgraph.OrbitEvaluator, orbit-mode
-// IncrementalEvaluator) keep quotienting throughout an anneal.
+// lets the orbit-quotient evaluator (the orbit-mode
+// hsgraph.IncrementalEvaluator) keep quotienting throughout an anneal.
 //
 // Pairs fixed by the half-turn σ^(sym/2) (endpoints m/2 apart, even sym
 // only) have short orbits that the uniform image loop would double-touch;

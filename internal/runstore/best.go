@@ -86,7 +86,7 @@ type CheckResult struct {
 	Cell      Cell    `json:"cell"`
 	Best      *Record `json:"best,omitempty"` // nil when the candidate is first in its cell
 	// Regressed is true when the candidate's h-ASPL is worse than the
-	// stored best (mirrors orpbench -compare: new result vs baseline).
+	// stored best (new result vs baseline).
 	Regressed bool    `json:"regressed"`
 	DeltaPct  float64 `json:"deltaPct"` // (candidate-best)/best × 100; 0 when first
 }

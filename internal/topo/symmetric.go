@@ -10,8 +10,8 @@ import (
 // g-symmetric seed generation (à la the reference implementation's
 // ORP_Generate_random_s): random host-switch graphs closed under the
 // cyclic group action σ(s) = (s + m/sym) mod m, so that the orbit-quotient
-// evaluator (hsgraph.OrbitEvaluator, orbit-mode IncrementalEvaluator) can
-// sweep one BFS per switch orbit instead of one per switch. Host counts
+// evaluator (the orbit-mode hsgraph.IncrementalEvaluator) can sweep one
+// BFS per switch orbit instead of one per switch. Host counts
 // are constant on every orbit and every edge is added together with its
 // sym-1 images.
 //
