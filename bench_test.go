@@ -15,9 +15,6 @@ import (
 
 	"repro/internal/figures"
 	"repro/internal/phys"
-	"repro/internal/routing"
-	"repro/internal/simnet"
-	"repro/internal/traffic"
 )
 
 // benchOptions keeps every figure benchmark in the seconds range.
@@ -314,53 +311,6 @@ func BenchmarkAblationCollectives(b *testing.B) {
 		speedup = res["allreduce-rd/1048576"] / res["allreduce-rabenseifner/1048576"]
 	}
 	b.ReportMetric(speedup, "rabenseifner-speedup-1MiB")
-}
-
-// BenchmarkTrafficPatterns sweeps the synthetic patterns over the
-// proposed topology and reports the uniform-traffic mean latency.
-func BenchmarkTrafficPatterns(b *testing.B) {
-	g, err := figures.ProposedTopology(1024, 16, 2000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	nw, err := simnet.NewNetwork(g, simnet.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var uniformMean float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results, err := traffic.Sweep(nw, traffic.All(1), traffic.RunOptions{
-			MessageBytes: 32768, Rounds: 2, Hosts: 256,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		uniformMean = results[0].MeanLatSec
-	}
-	b.ReportMetric(uniformMean*1e6, "uniform-mean-latency-us")
-}
-
-// BenchmarkRoutingUpDownStretch measures the deadlock-freedom price on
-// the proposed topology: mean up*/down* path stretch over minimal.
-func BenchmarkRoutingUpDownStretch(b *testing.B) {
-	g, err := figures.ProposedTopology(1024, 16, 2000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var mean float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab, err := routing.UpDown(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mean, _, err = routing.Stretch(g, tab)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(mean, "updown-mean-stretch")
 }
 
 // BenchmarkLayoutOptimizer measures the cable-cost saving of the

@@ -156,32 +156,6 @@ func TestCLIStdinPipe(t *testing.T) {
 	}
 }
 
-func TestCLIGolfRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI pipeline in -short mode")
-	}
-	edges := filepath.Join(t.TempDir(), "g.edges")
-	_, stderr := runTool(t, "orpgolf", nil, "-n", "16", "-d", "3", "-iters", "3000", "-o", edges)
-	if !strings.Contains(stderr, "ASPL") {
-		t.Fatalf("orpgolf stderr: %s", stderr)
-	}
-	_, stderr2 := runTool(t, "orpgolf", nil, "-eval", edges)
-	if !strings.Contains(stderr2, "diameter") {
-		t.Fatalf("orpgolf -eval stderr: %s", stderr2)
-	}
-}
-
-func TestCLITraffic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI pipeline in -short mode")
-	}
-	graph, _ := runTool(t, "orptopo", nil, "-kind", "fattree", "-k", "4", "-q")
-	out, _ := runTool(t, "orptraffic", []byte(graph), "-pattern", "transpose", "-rounds", "2", "-")
-	if !strings.Contains(out, "transpose") || !strings.Contains(out, "mean=") {
-		t.Fatalf("orptraffic output wrong:\n%s", out)
-	}
-}
-
 func TestCLIFiguresTheory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI pipeline in -short mode")
@@ -211,32 +185,6 @@ func TestCLIDotOutput(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(data), "graph hsgraph {") {
 		t.Fatalf("bad DOT output: %s", data[:40])
-	}
-}
-
-func TestCLIMap(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI pipeline in -short mode")
-	}
-	dir := t.TempDir()
-	graphFile := filepath.Join(dir, "g.hsg")
-	matrixFile := filepath.Join(dir, "m.traffic")
-	runTool(t, "orptopo", nil, "-kind", "fattree", "-k", "4", "-q", "-o", graphFile)
-	// Ring traffic over 16 ranks.
-	var mb strings.Builder
-	mb.WriteString("traffic 16\n")
-	for i := 0; i < 16; i++ {
-		fmt.Fprintf(&mb, "%d %d 1000\n", i, (i+1)%16)
-	}
-	if err := os.WriteFile(matrixFile, []byte(mb.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, stderr := runTool(t, "orpmap", nil, "-matrix", matrixFile, "-iters", "3000", graphFile)
-	if !strings.Contains(stderr, "traffic-weighted hops") {
-		t.Fatalf("orpmap stderr missing report: %s", stderr)
-	}
-	if !strings.Contains(out, "hsgraph 16 20 4") {
-		t.Fatalf("orpmap did not emit the remapped graph:\n%.120s", out)
 	}
 }
 

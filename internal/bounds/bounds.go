@@ -10,6 +10,8 @@ package bounds
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/hsgraph"
 )
 
 // MooreVertexBound returns the Moore bound on the number of vertices of an
@@ -179,7 +181,7 @@ func RegularHASPLBound(n, m, r int) (float64, error) {
 		return math.Inf(1), nil
 	}
 	aspl := ASPLLowerBoundRegular(m, k)
-	return scaleEq1(aspl, n, m), nil
+	return hsgraph.RegularHASPLFromSwitchASPL(aspl, n, m), nil
 }
 
 // ContinuousMooreHASPL is the paper's continuous Moore bound: Equation 2
@@ -200,13 +202,7 @@ func ContinuousMooreHASPL(n, m, r int) float64 {
 		return math.Inf(1)
 	}
 	aspl := ContinuousASPLLowerBound(m, k)
-	return scaleEq1(aspl, n, m)
-}
-
-// scaleEq1 converts a switch-graph ASPL into an h-ASPL via Equation 1.
-func scaleEq1(switchASPL float64, n, m int) float64 {
-	nm := float64(n) * float64(m)
-	return switchASPL*(nm-float64(n))/(nm-float64(m)) + 2
+	return hsgraph.RegularHASPLFromSwitchASPL(aspl, n, m)
 }
 
 // OptimalSwitchCount returns m_opt, the switch count minimising the
@@ -222,7 +218,7 @@ func OptimalSwitchCount(n, r int, maxM int) (mOpt int, bound float64) {
 	bound = math.Inf(1)
 	mOpt = 1
 	for m := 1; m <= maxM; m++ {
-		if !feasible(n, m, r) {
+		if !hsgraph.Feasible(n, m, r) {
 			continue
 		}
 		b := ContinuousMooreHASPL(n, m, r)
@@ -232,18 +228,6 @@ func OptimalSwitchCount(n, r int, maxM int) (mOpt int, bound float64) {
 		}
 	}
 	return mOpt, bound
-}
-
-// feasible mirrors hsgraph.Feasible; duplicated to keep bounds free of a
-// dependency on the graph representation.
-func feasible(n, m, r int) bool {
-	if n < 1 || m < 1 || r < 1 {
-		return false
-	}
-	if m == 1 {
-		return n <= r
-	}
-	return n <= m*r-2*(m-1)
 }
 
 // CliqueFeasible reports whether the switches can form an m-clique with

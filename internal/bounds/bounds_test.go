@@ -263,7 +263,7 @@ func TestOptimalSwitchCountBoundIsMinimum(t *testing.T) {
 	n, r := 512, 12
 	mOpt, bOpt := OptimalSwitchCount(n, r, 0)
 	for m := 1; m <= n; m++ {
-		if b := ContinuousMooreHASPL(n, m, r); b < bOpt-1e-12 && feasible(n, m, r) {
+		if b := ContinuousMooreHASPL(n, m, r); b < bOpt-1e-12 && hsgraph.Feasible(n, m, r) {
 			t.Fatalf("m=%d has bound %v below reported optimum %v at m=%d", m, b, bOpt, mOpt)
 		}
 	}

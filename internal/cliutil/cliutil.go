@@ -136,19 +136,6 @@ func (s *SinkFile) Emit(e obs.Event) error {
 	return s.Sink.Emit(e)
 }
 
-// SinkTracer returns a tracer whose span events land in sink, for the
-// CLIs' -trace-out files: the root span goes to core.Solve /
-// fault.Sweep (Options.Span), and orptrace later rebuilds the stage
-// waterfall from the same file that carries the sample events. A nil
-// sink returns a nil tracer, which keeps every span call on the
-// zero-cost nil path.
-func SinkTracer(id string, sink *SinkFile) *obs.Tracer {
-	if sink == nil {
-		return nil
-	}
-	return obs.NewTracer(id, time.Time{}, func(e obs.Event) { sink.Emit(e) })
-}
-
 // SpanCollector buffers span events in memory so a CLI can compute its
 // run's wall-time decomposition (obs.PhaseDurations) for a run-store
 // record, independently of whether a -trace-out sink is also writing

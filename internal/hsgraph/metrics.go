@@ -198,7 +198,8 @@ func (g *Graph) SingleSourceHostMetrics(h int) (aspl float64, ecc int, ok bool) 
 
 // RegularHASPLFromSwitchASPL applies the paper's Equation 1: for a
 // k-regular host-switch graph with n hosts and m switches whose switch
-// graph has ASPL a', the h-ASPL is a'(mn-n)/(mn-m) + 2.
+// graph has ASPL a', the h-ASPL is a'(mn-n)/(mn-m) + 2. bounds applies
+// it to the Moore ASPL bound for Eq. 2.
 func RegularHASPLFromSwitchASPL(switchASPL float64, n, m int) float64 {
 	if m <= 1 {
 		return 2

@@ -19,7 +19,7 @@ import (
 // worker budget. It asserts the latency-isolation property the service
 // exists for — cache hits stay fast while the budget is saturated with
 // design work — and prints the p50/p95/p99 table. Run with -short to
-// skip (CI runs it in the dedicated load job, not in the unit sweep).
+// skip (CI's test job runs it as part of go test ./...).
 func TestLoadCachedEvalsUnderAnnealPressure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load test: skipped in -short")

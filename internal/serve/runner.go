@@ -68,8 +68,9 @@ func executeEval(j *job) (json.RawMessage, error) {
 }
 
 // logObserver streams anneal telemetry into the job's event log, with
-// the same field keys cmd/orpcli writes to -trace-out files, and
-// forwards the incremental cache's counters to the orpd_inc_* instruments.
+// the field keys cliutil.AnnealObserver writes to orpsolve's -trace-out
+// files minus its six move-mix fields, and forwards the incremental
+// cache's counters to the orpd_inc_* instruments.
 //
 // The engine's EvalStats are cumulative per restart; the observer keeps
 // the previous snapshot per restart and adds only the delta, so the

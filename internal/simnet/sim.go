@@ -270,29 +270,6 @@ func (s *Sim) LinkLoads() []LinkLoad {
 	return out
 }
 
-// LinkLoadSummary returns the maximum and mean bytes over all directed
-// links that carried any traffic.
-func (s *Sim) LinkLoadSummary() (maxBytes, meanBytes float64) {
-	if s.linkBytes == nil {
-		return 0, 0
-	}
-	var sum float64
-	active := 0
-	for _, b := range s.linkBytes {
-		if b > maxBytes {
-			maxBytes = b
-		}
-		if b > 0 {
-			sum += b
-			active++
-		}
-	}
-	if active > 0 {
-		meanBytes = sum / float64(active)
-	}
-	return maxBytes, meanBytes
-}
-
 // nextFlowCompletion returns the earliest completion time among active
 // flows and the ids of all flows completing then (within tolerance).
 func (s *Sim) nextFlowCompletion() (float64, []int64) {

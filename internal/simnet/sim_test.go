@@ -409,10 +409,6 @@ func TestLinkStatsTracking(t *testing.T) {
 	if carried != 4 {
 		t.Fatalf("%d links carried the flow, want 4", carried)
 	}
-	maxB, meanB := s.LinkLoadSummary()
-	if maxB < 0.999e6 || meanB < 0.999e6 {
-		t.Fatalf("summary wrong: max %v mean %v", maxB, meanB)
-	}
 }
 
 func TestLinkStatsDisabledByDefault(t *testing.T) {
@@ -424,10 +420,6 @@ func TestLinkStatsDisabledByDefault(t *testing.T) {
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
-	}
-	maxB, meanB := s.LinkLoadSummary()
-	if maxB != 0 || meanB != 0 {
-		t.Fatal("stats collected without opt-in")
 	}
 	for _, l := range s.LinkLoads() {
 		if l.Bytes != 0 {

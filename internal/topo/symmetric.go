@@ -236,11 +236,11 @@ func symSwapRandomEdges(g *hsgraph.Graph, sym int, rnd *rng.Rand) bool {
 
 // RandomRegularSymmetric builds a connected switch-degree-regular
 // host-switch graph closed under the order-sym cyclic action: the
-// symmetric counterpart of hsgraph.RandomRegular, used as the ODP
-// (graph-golf) start. The base is a circulant (chords 1..degree/2 plus,
-// for odd degree, the antipodal perfect matching — whose edges are fixed
-// by the half-turn and therefore never moved afterwards), randomized by
-// batches of orbit double-edge swaps with connectivity-checked rollback.
+// symmetric counterpart of hsgraph.RandomRegular. The base is a
+// circulant (chords 1..degree/2 plus, for odd degree, the antipodal
+// perfect matching — whose edges are fixed by the half-turn and therefore
+// never moved afterwards), randomized by batches of orbit double-edge
+// swaps with connectivity-checked rollback.
 // Requires m | n·(well, sym | m and sym | n mod m), degree < m, and
 // m*degree even.
 func RandomRegularSymmetric(n, m, r, degree, sym int, seed uint64) (*hsgraph.Graph, error) {
