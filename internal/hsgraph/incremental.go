@@ -2,36 +2,53 @@ package hsgraph
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
 // IncrementalEvaluator computes the same metrics as Evaluator but caches
-// the full per-source BFS state of the last graph it evaluated, so that a
-// re-evaluation after a local mutation (an annealing swap or swing touches
-// 1-2 edges) re-sweeps only the sources whose BFS trees can have changed.
+// the full per-source distance rows of the last graph it committed, so
+// that a re-evaluation after a local mutation (an annealing swap or swing
+// touches 1-2 edges) only repairs the few row entries that changed.
 //
 // The evaluator arms the graph's edge-mutation log; between evaluations it
-// derives the net edge diff from the log, compares the cached host counts
-// against the graph's, and flags a source s dirty when
+// derives the net edge diff from the log and flags (markDirty) every row
+// the diff can change: rows where a net-removed edge was tight (endpoints
+// one level apart) and its far endpoint has no other predecessor over a
+// surviving edge, and rows where a net-added edge is slack (endpoints two
+// or more levels apart, or in different components). Each flagged row is
+// repaired in place with the unit-weight dynamic-BFS rules of Ramalingam &
+// Reps ("An incremental algorithm for a generalization of the
+// shortest-path problem", J. Algorithms 1996), on the graph without the
+// net-added edges first:
 //
-//   - a net-removed edge {a,b} was tight from s (|d_s(a)-d_s(b)| == 1 —
-//     the necessary condition for the edge to lie on any shortest path
-//     out of s) and the far endpoint has no alternate shortest
-//     predecessor surviving in both the cached and the current graph, or
-//   - a net-added edge {a,b} was slack from s (|d_s(a)-d_s(b)| >= 2, the
-//     necessary condition for the edge to create a shorter path), or
-//     joins s's component to switches s could not reach.
+//   - the switches that lose every shortest-path predecessor are found
+//     level by level, outward from the far endpoints of the removed tight
+//     edges, and re-settled from their unaffected boundary with a bucket
+//     queue by distance, keeping -1 when nothing reaches them;
+//   - then each slack added edge lowers distances outward from its far
+//     endpoint, breadth-first, on the current graph.
 //
-// Net diffing makes rollbacks free: a rejected move's undo cancels the
-// move's own entries, so the next sync sees an empty diff and touches
-// nothing. Only the flagged rows are re-swept (bit-parallel, 64 sources
-// per word, sharded over workers when the dirty set is large); host-count
-// changes adjust the unflagged rows' cached aggregates in O(m) without any
-// BFS. When the dirty set exceeds fallbackNum/fallbackDen of the sources,
-// a full rebuild is cheaper and runs instead. Every cached quantity is an
+// Every changed entry moves its row's aggregates by k_t·Δd (and rowW and
+// rowRch when switch t changes reachability). Host-count changes stay
+// pending until a commit folds them into every row, reading the changed
+// switch's column (see column); a peek shifts its totals for them instead.
+// Net diffing makes rollbacks free of graph work: a rejected move's undo
+// cancels the move's own entries. Every cached quantity is an exact
 // integer derived per row, so results are bit-identical to Evaluator's for
 // every worker count and every mutation history.
+//
+// PeekEnergy evaluates a candidate without committing it. When the repair
+// pays (repairPays), it applies the candidate to the rows under an undo
+// log of (entry, old distance) plus the old row aggregates, the idiom of
+// mnakao/ORP's ORP_Restore record: committing the peeked candidate then
+// only drops the log, and any other next call first replays it backwards.
+// Otherwise — on small graphs, where one batched bit-parallel traversal
+// costs less than repairing a few dozen rows — it evaluates the flagged
+// rows with the totals kernel and the commit repairs them. When more than
+// fallbackNum/fallbackDen of the rows are flagged, the peek uses the
+// totals kernel and the commit rebuilds every row.
 //
 // An IncrementalEvaluator is not safe for concurrent use, and at most one
 // may be attached to a graph at a time (attaching a second one invalidates
@@ -39,14 +56,16 @@ import (
 // m x m distance matrix of int16, so m is capped at MaxIncrementalSwitches.
 //
 // Orbit mode (NewOrbitIncrementalEvaluator with sym >= 2) caches and
-// sweeps only the m/sym orbit-representative rows of a sym-symmetric
+// repairs only the m/sym orbit-representative rows of a sym-symmetric
 // graph and scales the fold-up by the orbit size, for bit-identical
-// results at ~sym× less sweep work. The attached graph must stay in the
-// symmetric subspace: attach verifies the whole graph, every sync/peek
-// verifies the pending mutations, and a violation panics — a quotient
-// evaluation of an asymmetric graph would silently mis-evaluate, so the
-// contract is fail-loud (use opt's symmetric move operators, which cannot
-// leave the subspace).
+// results at ~sym× less work. A representative row spans the full graph
+// and the net diff holds every image edit, so the repair needs nothing
+// orbit-specific. The attached graph must stay in the symmetric subspace:
+// attach verifies the whole graph, every sync/peek verifies the pending
+// mutations, and a violation panics — a quotient evaluation of an
+// asymmetric graph would silently mis-evaluate, so the contract is
+// fail-loud (use opt's symmetric move operators, which cannot leave the
+// subspace).
 type IncrementalEvaluator struct {
 	workers int
 	sym     int // symmetry order; 1 = generic mode
@@ -55,32 +74,49 @@ type IncrementalEvaluator struct {
 	g      *Graph
 	epoch  uint64  // g.opEpoch this evaluator armed
 	m      int     // switch count of the cached graph
-	dist   []int16 // m*m distance matrix, row-major; -1 = unreachable
+	dist   []int16 // q*m distance rows, row-major; -1 = unreachable
 	rowSum []int64 // rowSum[s]  = sum over reachable t!=s of k_t*(d(s,t)+2)
 	rowW   []int64 // rowW[s]    = sum over reachable t!=s of k_t
 	rowRch []int64 // rowRch[s]  = #{t != s : k_t > 0, reachable}
-	hosts  []int32 // cached host counts at last sync
+	hosts  []int32 // host counts of the committed state
 	valid  bool
 
-	// Sync scratch, reused across calls.
+	// Net diff of the pending op log against the committed state.
 	netKeys   [][2]int32 // net edge diff keys (insertion order)
 	netDelta  []int32    // +1 net-added, -1 net-removed, 0 cancelled
-	dirty     []int32
-	dirtyAt   []uint32 // dirtyAt[s] == dirtyGen marks s dirty
-	dirtyGen  uint32
-	queue     []int32
-	sweep     []sweepScratch // per-worker bit-BFS scratch
-	cursor    atomic.Int64
-	keys      []dirtyKey // active net-diff keys, hoisted for the fused scan
-	negRow    []int16    // all -1, the row-prefill template
-	hostDelta []int32    // switches with pending host-count changes (peek scratch)
+	removed   [][2]int32 // the net-removed edges
+	added     [][2]int32 // the net-added edges
+	addedAt   []uint32   // addedAt[v] == diffGen: v ends a net-added edge
+	addedTo   []int32    // then v's one added neighbour, or -1 for several
+	diffGen   uint32
+	hostDelta []int32 // switches whose host count differs from the committed one
+	// repairCost is repairRowCost; tests set it to 0 (every peek repairs)
+	// or very high (every peek uses the totals kernel).
+	repairCost int
 
-	// Peek stamp: the pending state the last peek derived ie.dirty for, so
-	// committing that very state (an accepted move) re-sweeps the stamped
-	// dirty list instead of re-deriving it. Any later markDirty clears it.
-	peekHosts []int32  // host counts at stamp time
-	peekOps   []edgeOp // compacted op log at stamp time
-	peekValid bool     // ie.dirty is the dirty set of the stamped state
+	// Row-pass and sweep scratch, reused across calls.
+	rep          []repairScratch // per-worker repair scratch and undo logs
+	sweep        []sweepScratch  // per-worker bit-BFS scratch
+	cursor       atomic.Int64
+	dirty        []int32   // rows the pending diff can change, ascending
+	flagged      []bool    // markDirty's row flags
+	colsA, colsB [][]int16 // markDirty's neighbour columns
+	clean        []int32   // totalsEnergy's source weights, 0 on dirty rows
+	levels       int       // BFS levels from representative 0 at the last rebuild
+	queue        []int32
+	negRow       []int16 // all -1, the row-prefill template
+
+	// Candidate stamp: the pending state (compacted op log and host
+	// counts) the last peek evaluated. With applied set, the rows hold that
+	// candidate's distances and rep's undo logs restore the committed
+	// ones; without, the rows hold the committed distances, the net diff
+	// and dirty list are the candidate's, and peekE/peekConn its energy.
+	peekHosts []int32
+	peekOps   []edgeOp
+	peekValid bool
+	applied   bool
+	peekE     int64
+	peekConn  bool
 
 	stats IncStats
 }
@@ -97,21 +133,25 @@ type IncStats struct {
 	// uncounted.
 	Syncs int64
 	// FullRebuilds counts commits that fell back to rebuilding every row
-	// because more than fallbackNum/fallbackDen of the sources were dirty.
+	// because more than fallbackNum/fallbackDen of the rows were dirty.
 	FullRebuilds int64
-	// StoredPeekReuses counts commits that reused the dirty list stamped
-	// by a peek of the exact pending state (an accepted move) instead of
-	// re-deriving it from the op log; the dirty rows are still re-swept.
+	// StoredPeekReuses counts commits that found the peeked candidate
+	// already applied to the rows, so the commit only dropped the undo log.
 	StoredPeekReuses int64
-	// DirtySources accumulates the dirty-set sizes seen at commits;
-	// DirtySources/float64(Syncs*m) is the mean dirty-source fraction.
+	// DirtySources accumulates the dirty rows (markDirty's) of the
+	// commits, every row for a full rebuild; DirtySources/float64(Syncs*m)
+	// is the mean dirty-row fraction.
 	DirtySources int64
-	// SweptSources accumulates rows actually swept into the cache,
-	// including attach/rebuild sweeps — the work the cache could not
-	// avoid.
+	// SweptSources accumulates rows swept into the cache by the row
+	// kernel: at attach and at full rebuilds. Every other row change is a
+	// repair (RepairedEntries).
 	SweptSources int64
-	// Peeks counts PeekEnergy sweeps answered from scratch space.
+	// Peeks counts PeekEnergy calls answered by the cache.
 	Peeks int64
+	// RepairedEntries accumulates the distance entries the repair
+	// rewrote, in peeks and commits alike (a rolled-back candidate's
+	// entries included).
+	RepairedEntries int64
 }
 
 // Stats returns the evaluator's cumulative decision counters.
@@ -125,17 +165,17 @@ func (ie *IncrementalEvaluator) Stats() IncStats { return ie.stats }
 // hitting the attach-time panic.
 const MaxIncrementalSwitches = 20000
 
-// Fallback threshold: when more than fallbackNum/fallbackDen of all
-// sources are dirty, a full rebuild re-sweeps everything in one pass
-// instead of patching rows (the batched sweep is then strictly cheaper).
+// Fallback threshold: when more than fallbackNum/fallbackDen of the rows
+// change, a peek evaluates with the totals kernel and a commit rebuilds
+// every row in one batched sweep instead of keeping the repair.
 const (
 	fallbackNum = 3
 	fallbackDen = 4
 )
 
 // NewIncrementalEvaluator returns an evaluator with the given number of
-// sweep workers (values below 1 mean 1). Workers only affect throughput,
-// never results.
+// workers (values below 1 mean 1). Workers only affect throughput, never
+// results.
 func NewIncrementalEvaluator(workers int) *IncrementalEvaluator {
 	return NewOrbitIncrementalEvaluator(workers, 1)
 }
@@ -143,10 +183,10 @@ func NewIncrementalEvaluator(workers int) *IncrementalEvaluator {
 // NewOrbitIncrementalEvaluator returns an evaluator in orbit mode: it is
 // restricted to graphs closed under the cyclic group action of order sym
 // (see VerifySymmetric) and caches only the orbit-representative distance
-// rows, ~sym× less sweep work and memory for the same bit-identical
-// results. sym values below 2 mean the generic evaluator. Mutating the
-// attached graph out of the symmetric subspace panics at the next
-// sync/peek (see the type comment).
+// rows, ~sym× less work and memory for the same bit-identical results.
+// sym values below 2 mean the generic evaluator. Mutating the attached
+// graph out of the symmetric subspace panics at the next sync/peek (see
+// the type comment).
 func NewOrbitIncrementalEvaluator(workers, sym int) *IncrementalEvaluator {
 	if workers < 1 {
 		workers = 1
@@ -155,13 +195,15 @@ func NewOrbitIncrementalEvaluator(workers, sym int) *IncrementalEvaluator {
 		sym = 1
 	}
 	return &IncrementalEvaluator{
-		workers: workers,
-		sym:     sym,
-		sweep:   make([]sweepScratch, workers),
+		workers:    workers,
+		sym:        sym,
+		repairCost: repairRowCost,
+		rep:        make([]repairScratch, workers),
+		sweep:      make([]sweepScratch, workers),
 	}
 }
 
-// Workers returns the configured sweep worker count.
+// Workers returns the configured worker count.
 func (ie *IncrementalEvaluator) Workers() int { return ie.workers }
 
 // Symmetry returns the group order the evaluator quotients by (1 in
@@ -197,11 +239,12 @@ func (ie *IncrementalEvaluator) attach(g *Graph) {
 	ie.rowW = growI64(ie.rowW, q)
 	ie.rowRch = growI64(ie.rowRch, q)
 	ie.hosts = append(ie.hosts[:0], g.hosts...)
-	if cap(ie.dirtyAt) < q {
-		ie.dirtyAt = make([]uint32, q)
-		ie.dirtyGen = 0
+	if cap(ie.addedAt) < m {
+		ie.addedAt = make([]uint32, m)
+		ie.addedTo = make([]int32, m)
+		ie.diffGen = 0
 	}
-	ie.dirtyAt = ie.dirtyAt[:q]
+	ie.addedAt, ie.addedTo = ie.addedAt[:m], ie.addedTo[:m]
 	if cap(ie.negRow) < m {
 		ie.negRow = make([]int16, m)
 		for i := range ie.negRow {
@@ -209,7 +252,12 @@ func (ie *IncrementalEvaluator) attach(g *Graph) {
 		}
 	}
 	ie.negRow = ie.negRow[:m]
-	ie.peekValid = false
+	for w := range ie.rep {
+		ie.rep[w].grow(m)
+		ie.rep[w].reset()
+	}
+	ie.applied, ie.peekValid = false, false
+	ie.hostDelta = ie.hostDelta[:0]
 	ie.rebuildAll()
 	ie.valid = true
 }
@@ -227,73 +275,133 @@ func (ie *IncrementalEvaluator) synced(g *Graph) bool {
 		!g.opOverflow && ie.m == len(g.adj)
 }
 
-// sync brings the cache up to date with g, consuming the pending op log.
+// sync brings the cache up to date with g and commits that state,
+// consuming the pending op log.
 func (ie *IncrementalEvaluator) sync(g *Graph) {
 	if !ie.synced(g) {
 		ie.attach(g)
 		return
 	}
+	stamped := ie.peekValid && ie.stampMatches(g)
+	if !stamped {
+		ie.restore()
+	}
 	if len(g.oplog) == 0 && !ie.hostsChanged(g) {
+		ie.peekValid, ie.applied = false, false
+		ie.dropUndo()
 		return
 	}
 	ie.stats.Syncs++
-	if ie.peekApplicable(g) {
-		// The stamped peek already derived this pending state's dirty set
-		// (and checked and compacted its op log); re-sweep that list.
+	if stamped && ie.applied {
+		// The peeked candidate is the state to commit, and it is already
+		// in the rows.
 		ie.stats.StoredPeekReuses++
 	} else {
-		ie.netDiff(g.oplog)
-		ie.checkSymmetryPending(g)
-		ie.markDirty()
+		// A peek that used the totals kernel left the candidate's net
+		// diff and dirty rows in place; otherwise derive them now.
+		if !stamped {
+			ie.netDiff(g.oplog)
+			ie.checkSymmetryPending(g)
+			ie.splitDiff(g)
+			ie.markDirty()
+		}
+		if !ie.tooDirty() {
+			ie.repairDirty()
+			ie.applied = true
+		}
 	}
-	ie.peekValid = false
-	g.oplog = g.oplog[:0]
-	ie.stats.DirtySources += int64(len(ie.dirty))
-	if len(ie.dirty)*fallbackDen > ie.q*fallbackNum {
+	if ie.applied {
+		ie.stats.DirtySources += int64(len(ie.dirty))
+		ie.patchHosts(g)
+	} else {
 		ie.stats.FullRebuilds++
+		ie.stats.DirtySources += int64(ie.q)
 		ie.hosts = append(ie.hosts[:0], g.hosts...)
 		ie.rebuildAll()
-		return
 	}
-	ie.stats.SweptSources += int64(len(ie.dirty))
-	ie.sweepSources(ie.dirty, true)
-	ie.patchHostDeltas(g)
-	ie.hosts = append(ie.hosts[:0], g.hosts...)
+	ie.hostDelta = ie.hostDelta[:0]
+	ie.peekValid, ie.applied = false, false
+	ie.dropUndo()
+	g.oplog = g.oplog[:0]
 }
 
-// patchHostDeltas folds host-count changes into the rows that were not
-// re-swept: for those rows the cached distances are exactly the current
-// ones, so moving delta hosts on switch b shifts rowSum by delta*(d(s,b)+2)
-// and rowW by delta, and a 0 <-> >0 transition of k_b shifts rowRch by one.
-// Re-swept rows (dirtyAt at the current generation) already aggregated
-// against the current host counts. In orbit mode only the representative
-// rows exist; b still ranges over all switches, since a representative's
-// row aggregates every target.
-func (ie *IncrementalEvaluator) patchHostDeltas(g *Graph) {
-	for b := 0; b < ie.m; b++ {
-		delta := int64(g.hosts[b] - ie.hosts[b])
-		if delta == 0 {
+// column returns d(s, b) for the representative sources s in [0, q): by
+// symmetry of distances and orbit invariance, a contiguous slice of the
+// row of b's representative, d(s, b) = d(b mod q, s - (b div q)·q).
+func (ie *IncrementalEvaluator) column(b int) []int16 {
+	q, j := ie.q, b/ie.q
+	off := ((ie.sym - j) % ie.sym) * q
+	return ie.row(b % q)[off : off+q]
+}
+
+// hostChange returns switch b's pending host-count change and the shift
+// of the bearing-target count it causes: +1 or -1 when b starts or stops
+// bearing hosts, else 0.
+func (ie *IncrementalEvaluator) hostChange(g *Graph, b int) (delta, flip int64) {
+	was, is := ie.hosts[b] > 0, g.hosts[b] > 0
+	switch {
+	case is && !was:
+		flip = 1
+	case was && !is:
+		flip = -1
+	}
+	return int64(g.hosts[b] - ie.hosts[b]), flip
+}
+
+// hostShift folds the pending host-count change of switch b into the
+// ordered totals of the representative sources, weighted by their host
+// counts k: moving delta hosts onto b adds k_s·delta·(d(s,b)+2) per source
+// s that reaches b, and each such source's reach moves by b's flip. It
+// reads b's column, so the rows read must hold the pending distances.
+func (ie *IncrementalEvaluator) hostShift(g *Graph, b int, k []int32) (sum, reach int64) {
+	delta, flip := ie.hostChange(g, b)
+	for s, d := range ie.column(b) {
+		if d < 0 || s == b || k[s] == 0 {
 			continue
 		}
-		wasBearing, isBearing := ie.hosts[b] > 0, g.hosts[b] > 0
-		for s := 0; s < ie.q; s++ {
-			if s == b || ie.dirtyAt[s] == ie.dirtyGen {
-				continue
-			}
-			d := ie.row(s)[b]
-			if d < 0 {
+		sum += int64(k[s]) * delta * int64(d+2)
+		reach += flip
+	}
+	return sum, reach
+}
+
+// patchHosts commits the pending host counts into every row's aggregates:
+// until now the rows weighted their targets by the committed counts.
+func (ie *IncrementalEvaluator) patchHosts(g *Graph) {
+	for b, k := range g.hosts {
+		if k == ie.hosts[b] {
+			continue
+		}
+		delta, flip := ie.hostChange(g, b)
+		for s, d := range ie.column(b) {
+			if d < 0 || s == b {
 				continue
 			}
 			ie.rowSum[s] += delta * int64(d+2)
 			ie.rowW[s] += delta
-			if wasBearing != isBearing {
-				if isBearing {
-					ie.rowRch[s]++
-				} else {
-					ie.rowRch[s]--
-				}
-			}
+			ie.rowRch[s] += flip
 		}
+	}
+	ie.hosts = append(ie.hosts[:0], g.hosts...)
+}
+
+// restore rolls the rows back to the committed state, replaying every
+// worker's undo log backwards, and drops the candidate stamp.
+func (ie *IncrementalEvaluator) restore() {
+	if ie.applied {
+		for w := range ie.rep {
+			ie.rep[w].rollback(ie)
+		}
+		ie.applied = false
+	}
+	ie.peekValid = false
+	ie.hostDelta = ie.hostDelta[:0]
+}
+
+// dropUndo forgets the undo logs: the rows they would restore are gone.
+func (ie *IncrementalEvaluator) dropUndo() {
+	for w := range ie.rep {
+		ie.rep[w].reset()
 	}
 }
 
@@ -338,12 +446,7 @@ func (ie *IncrementalEvaluator) checkSymmetryPending(g *Graph) {
 
 // hostsChanged reports whether g's host counts differ from the cache.
 func (ie *IncrementalEvaluator) hostsChanged(g *Graph) bool {
-	for s, k := range g.hosts {
-		if ie.hosts[s] != k {
-			return true
-		}
-	}
-	return false
+	return !slices.Equal(g.hosts, ie.hosts)
 }
 
 // netDiff reduces the pending op log to the net edge diff: edges whose
@@ -395,143 +498,225 @@ func (ie *IncrementalEvaluator) compactOpLog(g *Graph) {
 	g.oplog = g.oplog[:n]
 }
 
-// markDirty flags every source whose cached BFS row can differ on g, given
-// the net edge diff, into ie.dirty. Soundness: a source flagged by no net
-// operation keeps its exact row — apply the net removals then the net
-// additions in any order; each unflagging condition, evaluated against the
-// cached distances, certifies that the operation leaves the row unchanged,
-// so the cached distances remain valid for judging the next one.
-func (ie *IncrementalEvaluator) markDirty() {
-	ie.peekValid = false
-	ie.dirty = ie.dirty[:0]
-	ie.dirtyGen++
-	if ie.dirtyGen == 0 { // wrapped: marks are stale, reset
-		for i := range ie.dirtyAt {
-			ie.dirtyAt[i] = 0
-		}
-		ie.dirtyGen = 1
+// splitDiff sorts the net diff into removed and added edges, marks the
+// endpoints of the added ones, and lists the switches whose host count
+// differs from the committed state.
+func (ie *IncrementalEvaluator) splitDiff(g *Graph) {
+	ie.removed, ie.added = ie.removed[:0], ie.added[:0]
+	ie.diffGen++
+	if ie.diffGen == 0 { // wrapped: marks are stale, reset
+		clear(ie.addedAt)
+		ie.diffGen = 1
 	}
-	ie.keys = ie.keys[:0]
-	for i, key := range ie.netKeys {
-		if ie.netDelta[i] == 0 {
-			continue
-		}
-		n := len(ie.keys)
-		if n < cap(ie.keys) {
-			ie.keys = ie.keys[:n+1] // reuse the element's alt-slice capacity
-		} else {
-			ie.keys = append(ie.keys, dirtyKey{})
-		}
-		k := &ie.keys[n]
-		k.a, k.b = key[0], key[1]
-		k.removed = ie.netDelta[i] < 0
-		k.altA, k.altB = k.altA[:0], k.altB[:0]
-		if k.removed {
-			// Hoist the net-added edges incident to either endpoint: the
-			// alternate-predecessor scan below must skip them, and they are
-			// almost always absent, turning the skip into a nil check.
-			for j, k2 := range ie.netKeys {
-				if ie.netDelta[j] <= 0 {
-					continue
-				}
-				switch key[0] {
-				case k2[0]:
-					k.altA = append(k.altA, k2[1])
-				case k2[1]:
-					k.altA = append(k.altA, k2[0])
-				}
-				switch key[1] {
-				case k2[0]:
-					k.altB = append(k.altB, k2[1])
-				case k2[1]:
-					k.altB = append(k.altB, k2[0])
-				}
-			}
+	for i, k := range ie.netKeys {
+		switch {
+		case ie.netDelta[i] < 0:
+			ie.removed = append(ie.removed, k)
+		case ie.netDelta[i] > 0:
+			ie.added = append(ie.added, k)
+			ie.markAdded(k[0], k[1])
+			ie.markAdded(k[1], k[0])
 		}
 	}
-	if len(ie.keys) == 0 {
+	ie.hostDelta = ie.hostDelta[:0]
+	for b, k := range g.hosts {
+		if k != ie.hosts[b] {
+			ie.hostDelta = append(ie.hostDelta, int32(b))
+		}
+	}
+}
+
+// markAdded records u as a net-added neighbour of v.
+func (ie *IncrementalEvaluator) markAdded(v, u int32) {
+	if ie.addedAt[v] == ie.diffGen {
+		ie.addedTo[v] = -1
 		return
 	}
-	// One fused pass over the rows: each 800-byte-ish row is pulled into
-	// cache once and tested against every active key, instead of once per
-	// key. The dirty list comes out in ascending source order. In orbit
-	// mode only representative rows exist (and the net diff contains every
-	// image of a changed orbit edge, so a representative affected by any
-	// image is flagged).
-	for s := 0; s < ie.q; s++ {
-		row := ie.row(s)
-		for ki := range ie.keys {
-			k := &ie.keys[ki]
-			da, db := row[k.a], row[k.b]
-			var affected bool
-			switch {
-			case da < 0 && db < 0:
-				// Both unreachable from s: neither removing nor adding the
-				// edge can touch s's component.
-			case (da < 0) != (db < 0):
-				// Mixed reachability: impossible for a removed (existing)
-				// edge unless the cache is inconsistent; for an added edge
-				// it joins a new component. Conservatively dirty.
-				affected = true
-			case k.removed:
-				// The edge lay on a shortest path out of s only if it was
-				// tight (distances differ by one, oriented near -> far). Even
-				// then the row survives when far has another predecessor at
-				// the same depth: every shortest path through the removed
-				// edge enters far over it and can be re-routed through the
-				// alternate entry at equal length. The alternate edge must
-				// exist in both the cached and the current graph — a
-				// neighbor in g.adj that the net diff did not add — so the
-				// splice is valid against the cached distances.
-				if da-db == 1 || db-da == 1 {
-					far, dFar, added := k.a, da, k.altA
-					if db > da {
-						far, dFar, added = k.b, db, k.altB
-					}
-					affected = true
-					if len(added) == 0 {
-						for _, u := range ie.g.adj[far] {
-							if row[u] == dFar-1 {
-								affected = false
-								break
-							}
-						}
-					} else {
-						for _, u := range ie.g.adj[far] {
-							if row[u] == dFar-1 && !containsInt32(added, u) {
-								affected = false
-								break
-							}
-						}
-					}
-				}
-			default:
-				affected = da-db >= 2 || db-da >= 2
-			}
-			if affected {
-				ie.dirtyAt[s] = ie.dirtyGen
-				ie.dirty = append(ie.dirty, int32(s))
-				break
-			}
-		}
+	ie.addedAt[v], ie.addedTo[v] = ie.diffGen, u
+}
+
+// isAdded reports whether {v,u} is a net-added edge.
+func (ie *IncrementalEvaluator) isAdded(v, u int32) bool {
+	if ie.addedAt[v] != ie.diffGen {
+		return false
 	}
-}
-
-// dirtyKey is a net-diff entry prepared for markDirty's fused row scan.
-type dirtyKey struct {
-	a, b    int32
-	removed bool
-	altA    []int32 // net-added neighbors of a, skipped as alternates
-	altB    []int32 // net-added neighbors of b
-}
-
-func containsInt32(s []int32, v int32) bool {
-	for _, x := range s {
-		if x == v {
+	if w := ie.addedTo[v]; w >= 0 {
+		return w == u
+	}
+	key := edgeKey(v, u)
+	for _, e := range ie.added {
+		if e == key {
 			return true
 		}
 	}
 	return false
+}
+
+// repairChunk is the number of dirty rows a worker claims at once. A
+// pass with fewer rows runs on the calling goroutine alone: a few dozen
+// row repairs take less time than waking a second goroutine.
+const repairChunk = 32
+
+// repairDirty repairs every row markDirty flagged in place, in a pass
+// sharded over the workers, logging every change for rollback. Host-count
+// changes stay pending (see patchHosts).
+func (ie *IncrementalEvaluator) repairDirty() {
+	if len(ie.dirty) == 0 {
+		return
+	}
+	ie.cursor.Store(0)
+	workers := min(ie.workers, (len(ie.dirty)+repairChunk-1)/repairChunk)
+	if workers <= 1 {
+		ie.repairWorker(&ie.rep[0])
+	} else {
+		var wg sync.WaitGroup
+		for w := 1; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				ie.repairWorker(&ie.rep[w])
+			}(w)
+		}
+		ie.repairWorker(&ie.rep[0])
+		wg.Wait()
+	}
+	for w := range ie.rep[:workers] {
+		rs := &ie.rep[w]
+		ie.stats.RepairedEntries += rs.entries
+		rs.entries = 0
+	}
+}
+
+// tooDirty reports whether more than fallbackNum/fallbackDen of the rows
+// are flagged: a full rebuild then beats patching rows.
+func (ie *IncrementalEvaluator) tooDirty() bool {
+	return len(ie.dirty)*fallbackDen > ie.q*fallbackNum
+}
+
+// repairRowCost is the measured cost of repairing one dirty row, in the
+// units of sweepCost (one mask word visited per switch or adjacency
+// entry per BFS level): about 1.1 µs against 1.9 ns per unit, at the
+// n=1024, r=15 cell on the 2-vCPU VM (EXPERIMENTS).
+const repairRowCost = 576
+
+// repairPays reports whether a peek should repair the dirty rows in place
+// rather than evaluate them with the totals kernel: the repair costs about
+// repairRowCost per row, the kernel one traversal of the graph per BFS
+// level for every 64 rows (two mask words per 128 beyond 64). On small
+// graphs a batched traversal is cheaper than repairing a few dozen rows;
+// on large ones the repair wins by orders of magnitude.
+func (ie *IncrementalEvaluator) repairPays() bool {
+	n := len(ie.dirty)
+	words := 1
+	if n > 64 {
+		words = 2 * ((n + 127) / 128)
+	}
+	sweepCost := words * ie.levels * (ie.m + 2*len(ie.g.edges))
+	return n*ie.repairCost < sweepCost
+}
+
+// repairWorker repairs chunks of the dirty rows until none is left.
+func (ie *IncrementalEvaluator) repairWorker(rs *repairScratch) {
+	for {
+		lo := int(ie.cursor.Add(1)-1) * repairChunk
+		if lo >= len(ie.dirty) {
+			return
+		}
+		for _, s := range ie.dirty[lo:min(lo+repairChunk, len(ie.dirty))] {
+			ie.repairRow(rs, int(s))
+		}
+	}
+}
+
+// markDirty lists in ie.dirty, ascending, every row the pending net diff
+// can change. It reads the committed distances column by column — d(s,
+// v) over all representative sources s is one contiguous slice (see
+// column) — so a clean row is never touched. Soundness: a row flagged by
+// no net edge keeps its exact distances. A removed edge can only raise
+// distances where it was tight (endpoints one level apart) and its far
+// endpoint has no other neighbour one level up over a surviving edge:
+// removing the edges one at a time, such a neighbour keeps its own
+// distance, since a shortest path to it cannot use an edge leading one
+// level deeper. An added edge can only lower distances where it is slack
+// (endpoints two or more levels apart) or joins a new component; with no
+// removal raising anything, the committed distances are the ones to
+// judge it on.
+func (ie *IncrementalEvaluator) markDirty() {
+	q := ie.q
+	if cap(ie.flagged) < q {
+		ie.flagged = make([]bool, q)
+	}
+	flagged := ie.flagged[:q]
+	clear(flagged)
+	for _, e := range ie.removed {
+		ca, cb := ie.column(int(e[0])), ie.column(int(e[1]))
+		colsA := ie.supportCols(e[0], ie.colsA[:0])
+		colsB := ie.supportCols(e[1], ie.colsB[:0])
+		ie.colsA, ie.colsB = colsA[:0], colsB[:0]
+		// Tight in row s with the far endpoint one level past the near one:
+		// dirty unless the far endpoint keeps a neighbour one level up.
+		for s, da := range ca {
+			db := cb[s]
+			switch {
+			case flagged[s] || da < 0 || db < 0:
+			case db == da+1:
+				flagged[s] = !supported(colsB, s, db)
+			case da == db+1:
+				flagged[s] = !supported(colsA, s, da)
+			}
+		}
+	}
+	for _, e := range ie.added {
+		ca, cb := ie.column(int(e[0])), ie.column(int(e[1]))
+		for s, da := range ca {
+			if db := cb[s]; (da < 0) != (db < 0) || da-db >= 2 || db-da >= 2 {
+				flagged[s] = true
+			}
+		}
+	}
+	ie.dirty = ie.dirty[:0]
+	for s, f := range flagged {
+		if f {
+			ie.dirty = append(ie.dirty, int32(s))
+		}
+	}
+}
+
+// supportCols appends to cols the columns of v's neighbours over edges
+// that are not net-added.
+func (ie *IncrementalEvaluator) supportCols(v int32, cols [][]int16) [][]int16 {
+	vAdded := ie.addedAt[v] == ie.diffGen
+	for _, u := range ie.g.adj[v] {
+		if !(vAdded && ie.isAdded(v, u)) {
+			cols = append(cols, ie.column(int(u)))
+		}
+	}
+	return cols
+}
+
+// supported reports whether some column holds d-1 in row s.
+func supported(cols [][]int16, s int, d int16) bool {
+	for _, cu := range cols {
+		if cu[s] == d-1 {
+			return true
+		}
+	}
+	return false
+}
+
+// stamp records the pending state the cache now answers for.
+func (ie *IncrementalEvaluator) stamp(g *Graph) {
+	ie.peekValid = true
+	ie.peekOps = append(ie.peekOps[:0], g.oplog...)
+	ie.peekHosts = append(ie.peekHosts[:0], g.hosts...)
+}
+
+// stampMatches reports whether the stamp describes exactly g's pending
+// state: the identical op log (content, not just length — the ops plus
+// the host counts pin the candidate graph, since the committed state has
+// not moved in between) and the identical host counts.
+func (ie *IncrementalEvaluator) stampMatches(g *Graph) bool {
+	return slices.Equal(ie.peekOps, g.oplog) && slices.Equal(ie.peekHosts, g.hosts)
 }
 
 // rebuildAll re-sweeps every cached source (every switch, or every orbit
@@ -550,12 +735,13 @@ func (ie *IncrementalEvaluator) rebuildAll() {
 	}
 	ie.sweepSources(all, true)
 	ie.queue = all[:0]
+	ie.levels = 1 + int(slices.Max(ie.row(0)))
 }
 
 // sweepSources sweeps the given sources on the current graph in lane-width
 // batches sharded over the workers. With rows it recomputes their cached
 // distance rows and aggregates; without, it writes nothing and returns the
-// batch totals (the peek path).
+// batch totals under the current host counts (totalsEnergy).
 func (ie *IncrementalEvaluator) sweepSources(srcs []int32, rows bool) batchTotals {
 	var t batchTotals
 	if len(srcs) == 0 {
@@ -620,7 +806,8 @@ func (ie *IncrementalEvaluator) runBatches(sc *sweepScratch, srcs []int32, strid
 // sweepRows runs one bit-parallel BFS with the batch sources in the word
 // lanes, writing each source's full distance row. The row aggregates are
 // accumulated per lane during the sweep — the same integer additions a
-// post-hoc pass over the row would do, just without re-reading it.
+// post-hoc pass over the row would do, just without re-reading it — and
+// weight the targets by the committed host counts, like every row.
 func (ie *IncrementalEvaluator) sweepRows(sc *sweepScratch, batch []int32) {
 	g := ie.g
 	m := ie.m
@@ -667,7 +854,7 @@ func (ie *IncrementalEvaluator) sweepRows(sc *sweepScratch, batch []int32) {
 			next[v] = nv
 			visited[v] |= nv
 			active = true
-			kv := int64(g.hosts[v])
+			kv := int64(ie.hosts[v])
 			for mask := nv; mask != 0; mask &= mask - 1 {
 				bit := trailingZeros(mask)
 				rows[bit][v] = level
@@ -755,7 +942,7 @@ func (ie *IncrementalEvaluator) sweepRowsWide(sc *sweepScratch, batch []int32) {
 			visited[i0] |= nv0
 			visited[i0+1] |= nv1
 			active = true
-			kv := int64(g.hosts[v])
+			kv := int64(ie.hosts[v])
 			for mask := nv0; mask != 0; mask &= mask - 1 {
 				lane := trailingZeros(mask)
 				rows[lane][v] = level
@@ -825,11 +1012,29 @@ func (ie *IncrementalEvaluator) gatherTotals(g *Graph) (intraTotal, intraPairs, 
 }
 
 // Energy returns the total host-pair path length and whether all hosts
-// are connected — bit-identical to Evaluator.Energy, after re-sweeping
-// only the dirty sources.
+// are connected — bit-identical to Evaluator.Energy — after committing
+// g's pending state into the cache.
 func (ie *IncrementalEvaluator) Energy(g *Graph) (int64, bool) {
 	ie.sync(g)
+	return ie.energy(g)
+}
+
+// energy folds the cached row aggregates into Energy's verdict. The rows
+// weight their targets by the committed host counts, so the totals shift
+// for the switches whose count is pending (none after a commit).
+func (ie *IncrementalEvaluator) energy(g *Graph) (int64, bool) {
 	intraTotal, _, ordered, _, orderedReach, attached, bearing := ie.gatherTotals(g)
+	for _, b := range ie.hostDelta {
+		sum, reach := ie.hostShift(g, int(b), g.hosts)
+		ordered += sum * int64(ie.sym)
+		orderedReach += reach * int64(ie.sym)
+	}
+	return finishEnergy(g, intraTotal, ordered, orderedReach, attached, bearing)
+}
+
+// finishEnergy turns graph totals into Energy's verdict: the total
+// host-pair path length, or 0 and false when the hosts are disconnected.
+func finishEnergy(g *Graph, intraTotal, ordered, orderedReach, attached int64, bearing int) (int64, bool) {
 	allAttached := attached == int64(g.n)
 	switch {
 	case bearing == 0:
@@ -837,125 +1042,87 @@ func (ie *IncrementalEvaluator) Energy(g *Graph) (int64, bool) {
 	case bearing == 1:
 		return intraTotal, allAttached
 	}
-	connected := allAttached && orderedReach == int64(bearing)*int64(bearing-1)
-	if !connected {
+	if !(allAttached && orderedReach == int64(bearing)*int64(bearing-1)) {
 		return 0, false
 	}
 	return intraTotal + ordered/2, true
 }
 
 // PeekEnergy computes exactly what Energy would return for g — the same
-// integers, bit for bit — without committing anything: the op log stays
-// pending and nothing cached is written. The dirty sources are swept for
-// their totals only, with no distance rows and no per-source aggregates,
-// so a rejected candidate move costs ceil(dirty/128) totals sweeps and
-// its rollback is free. Committing the peeked state (an accepted move)
-// reuses the peek's dirty list and re-sweeps those rows. ok is false when
+// integers, bit for bit — without committing: the op log stays pending.
+// The candidate is repaired into the rows under an undo log, so
+// committing it next (an accepted move) costs nothing, and any other next
+// call first rolls the rows back (a rejected move). A candidate that
+// changes more than fallbackNum/fallbackDen of the rows is evaluated with
+// the totals kernel instead, leaving the rows untouched. ok is false when
 // the cache is not attached to g; the caller then falls back to Energy.
 func (ie *IncrementalEvaluator) PeekEnergy(g *Graph) (energy int64, connected, ok bool) {
 	if !ie.synced(g) {
 		return 0, false, false
 	}
 	ie.stats.Peeks++
-	ie.netDiff(g.oplog)
-	ie.checkSymmetryPending(g)
-	ie.compactOpLog(g)
-	ie.markDirty()
-	dirty := ie.sweepSources(ie.dirty, false)
-	ie.stampPeek(g)
-	ie.hostDelta = ie.hostDelta[:0]
-	for b := 0; b < ie.m; b++ {
-		if g.hosts[b] != ie.hosts[b] {
-			ie.hostDelta = append(ie.hostDelta, int32(b))
+	if !ie.peekValid || !ie.stampMatches(g) {
+		ie.restore()
+		ie.netDiff(g.oplog)
+		ie.checkSymmetryPending(g)
+		ie.compactOpLog(g)
+		ie.stamp(g)
+		ie.splitDiff(g)
+		ie.markDirty()
+		if !ie.tooDirty() && ie.repairPays() {
+			ie.repairDirty()
+			ie.applied = true
+		} else {
+			ie.peekE, ie.peekConn = ie.totalsEnergy(g)
 		}
 	}
-	var intraTotal, attached int64
-	ordered, orderedReach := dirty.sum, dirty.reach
-	bearing := 0
-	for s := 0; s < ie.m; s++ {
-		k := int64(g.hosts[s])
-		if k == 0 {
-			continue
+	if !ie.applied {
+		return ie.peekE, ie.peekConn, true
+	}
+	energy, connected = ie.energy(g)
+	return energy, connected, true
+}
+
+// totalsEnergy evaluates g's pending state without writing anything:
+// the dirty rows with the totals kernel (from their host-bearing sources),
+// the clean rows from their cached aggregates, shifted for the pending
+// host counts. A clean row's distances are the pending ones, and so are
+// the entries the shift reads from the columns of the changed switches.
+func (ie *IncrementalEvaluator) totalsEnergy(g *Graph) (int64, bool) {
+	k := append(ie.clean[:0], g.hosts[:ie.q]...)
+	ie.clean = k
+	srcs := ie.queue[:0]
+	for _, s := range ie.dirty {
+		if k[s] > 0 {
+			srcs = append(srcs, s)
 		}
-		bearing++
-		attached += k
-		intraTotal += k * (k - 1)
-		if s >= ie.q || ie.dirtyAt[s] == ie.dirtyGen {
-			// Orbit images fold via the sym scaling below; dirty rows are
-			// in the sweep totals.
-			continue
+		k[s] = 0
+	}
+	t := ie.sweepSources(srcs, false)
+	ie.queue = srcs[:0]
+	ordered, orderedReach := t.sum, t.reach
+	for s, ks := range k {
+		if ks > 0 {
+			ordered += int64(ks) * ie.rowSum[s]
+			orderedReach += ie.rowRch[s]
 		}
-		// Clean rows hold the current distances; patch their cached
-		// aggregates for pending host-count deltas exactly as sync would
-		// after committing.
-		sum, reach := ie.rowSum[s], ie.rowRch[s]
-		for _, b := range ie.hostDelta {
-			if int(b) == s {
-				continue
-			}
-			d := ie.row(s)[b]
-			if d < 0 {
-				continue
-			}
-			sum += int64(g.hosts[b]-ie.hosts[b]) * int64(d+2)
-			wasBearing, isBearing := ie.hosts[b] > 0, g.hosts[b] > 0
-			if wasBearing != isBearing {
-				if isBearing {
-					reach++
-				} else {
-					reach--
-				}
-			}
-		}
-		ordered += k * sum
+	}
+	for _, b := range ie.hostDelta {
+		sum, reach := ie.hostShift(g, int(b), k)
+		ordered += sum
 		orderedReach += reach
 	}
-	if ie.sym > 1 {
-		ordered *= int64(ie.sym)
-		orderedReach *= int64(ie.sym)
-	}
-	allAttached := attached == int64(g.n)
-	switch {
-	case bearing == 0:
-		return 0, allAttached && g.n <= 1, true
-	case bearing == 1:
-		return intraTotal, allAttached, true
-	}
-	if !(allAttached && orderedReach == int64(bearing)*int64(bearing-1)) {
-		return 0, false, true
-	}
-	return intraTotal + ordered/2, true, true
-}
-
-// stampPeek records the pending state the just-derived ie.dirty belongs
-// to, so a commit of the same state can skip re-deriving it.
-func (ie *IncrementalEvaluator) stampPeek(g *Graph) {
-	ie.peekValid = true
-	ie.peekOps = append(ie.peekOps[:0], g.oplog...)
-	ie.peekHosts = append(ie.peekHosts[:0], g.hosts...)
-}
-
-// peekApplicable reports whether the stamp describes exactly the pending
-// state sync is about to commit: the identical op log (content, not just
-// length — the ops plus the host counts pin the candidate graph, since the
-// cache itself has not moved between the two calls) and the identical
-// host counts. ie.dirty is then still the stamped state's dirty set,
-// because every markDirty since would have cleared the stamp.
-func (ie *IncrementalEvaluator) peekApplicable(g *Graph) bool {
-	if !ie.peekValid || len(ie.peekOps) != len(g.oplog) {
-		return false
-	}
-	for i, op := range g.oplog {
-		if ie.peekOps[i] != op {
-			return false
+	var intraTotal, attached int64
+	bearing := 0
+	for _, kb := range g.hosts {
+		if kb > 0 {
+			bearing++
+			attached += int64(kb)
+			intraTotal += int64(kb) * int64(kb-1)
 		}
 	}
-	for b, k := range g.hosts {
-		if ie.peekHosts[b] != k {
-			return false
-		}
-	}
-	return true
+	sym := int64(ie.sym)
+	return finishEnergy(g, intraTotal, ordered*sym, orderedReach*sym, attached, bearing)
 }
 
 // Evaluate computes the full Metrics from the cached rows — bit-identical

@@ -86,19 +86,99 @@ func randomMoveScript(t *testing.T, g *Graph, rnd *rng.Rand, steps int) []moveOp
 	return script
 }
 
-// checkIncrementalStep compares the incremental evaluator's Energy and
-// Evaluate against the trusted serial engine on g's current state.
-func checkIncrementalStep(t *testing.T, ie *IncrementalEvaluator, ev *Evaluator, g *Graph, ctx string) {
+// checkIncrementalStep commits g's current state into the incremental
+// evaluator and compares its Energy and Evaluate with the reference BFS,
+// EvaluateSlow.
+func checkIncrementalStep(t *testing.T, ie *IncrementalEvaluator, g *Graph, ctx string) {
 	t.Helper()
-	wantMet := g.Evaluate()
-	wantE, wantC := ev.Energy(g)
+	want := g.EvaluateSlow()
+	wantE := want.TotalPath
+	if !want.Connected {
+		wantE = 0
+	}
 	gotE, gotC := ie.Energy(g)
-	if gotE != wantE || gotC != wantC {
-		t.Fatalf("%s: incremental Energy (%d, %v) != exact (%d, %v)", ctx, gotE, gotC, wantE, wantC)
+	if gotE != wantE || gotC != want.Connected {
+		t.Fatalf("%s: incremental Energy (%d, %v) != reference (%d, %v)", ctx, gotE, gotC, wantE, want.Connected)
 	}
-	if gotMet := ie.Evaluate(g); gotMet != wantMet {
-		t.Fatalf("%s: incremental Evaluate %+v != exact %+v", ctx, gotMet, wantMet)
+	if got := ie.Evaluate(g); got != want {
+		t.Fatalf("%s: incremental Evaluate %+v != reference %+v", ctx, got, want)
 	}
+}
+
+// checkCache compares every cached row of ie, entry by entry, with the
+// reference BFS on want, the graph whose distances the rows must hold (the
+// pending graph after a peek that repaired, the committed one otherwise),
+// and each row's aggregates with the sums over that row; the aggregates
+// weight their targets by the committed host counts.
+func checkCache(t *testing.T, ie *IncrementalEvaluator, want *Graph, ctx string) {
+	t.Helper()
+	m := want.Switches()
+	dist := make([]int32, m)
+	queue := make([]int32, 0, m)
+	for s := 0; s < ie.q; s++ {
+		want.SwitchBFS(s, dist, queue)
+		row := ie.row(s)
+		var sum, w, rch int64
+		for v, d := range dist {
+			if int32(row[v]) != d {
+				t.Fatalf("%s: row %d, switch %d: cached distance %d, reference %d", ctx, s, v, row[v], d)
+			}
+			if v == s || d < 0 {
+				continue
+			}
+			k := int64(ie.hosts[v])
+			sum += k * int64(d+2)
+			w += k
+			if k > 0 {
+				rch++
+			}
+		}
+		if ie.rowSum[s] != sum || ie.rowW[s] != w || ie.rowRch[s] != rch {
+			t.Fatalf("%s: row %d aggregates (%d, %d, %d), reference (%d, %d, %d)",
+				ctx, s, ie.rowSum[s], ie.rowW[s], ie.rowRch[s], sum, w, rch)
+		}
+	}
+}
+
+// cacheOracle follows one evaluator through a mutation script, keeping a
+// copy of the graph it last committed so that checkCache knows which
+// distances the rows must hold after every call.
+type cacheOracle struct {
+	t         *testing.T
+	ie        *IncrementalEvaluator
+	g         *Graph
+	committed *Graph
+}
+
+func newCacheOracle(t *testing.T, ie *IncrementalEvaluator, g *Graph) *cacheOracle {
+	o := &cacheOracle{t: t, ie: ie, g: g}
+	o.commit("attach")
+	return o
+}
+
+// commit commits g and checks the energies and every row.
+func (o *cacheOracle) commit(ctx string) {
+	o.t.Helper()
+	checkIncrementalStep(o.t, o.ie, o.g, ctx)
+	o.committed = o.g.Clone()
+	o.rows(ctx)
+}
+
+// peek peeks g and checks the energy and every row.
+func (o *cacheOracle) peek(ctx string) {
+	o.t.Helper()
+	checkPeek(o.t, o.ie, o.g, ctx)
+	o.rows(ctx)
+}
+
+// rows checks every row against the graph it must hold now.
+func (o *cacheOracle) rows(ctx string) {
+	o.t.Helper()
+	want := o.committed
+	if o.ie.applied {
+		want = o.g
+	}
+	checkCache(o.t, o.ie, want, ctx)
 }
 
 // checkPeek compares PeekEnergy on g's pending state against the
@@ -117,9 +197,9 @@ func checkPeek(t *testing.T, ie *IncrementalEvaluator, g *Graph, ctx string) {
 
 // TestIncrementalEvaluatorDifferential is the equivalence proof behind the
 // incremental engine: on >= 200 (graph, move-script, worker-count)
-// combinations, the dirty-source re-sweep must agree with the full-sweep
-// engines bit-for-bit on TotalPath, HASPL, Diameter and connectivity after
-// every single step — across connected, disconnected, island and
+// combinations, the repaired cache must agree with the reference BFS
+// bit-for-bit on TotalPath, HASPL, Diameter and connectivity after every
+// single step — across connected, disconnected, island and
 // concentrated-host regimes, and across heavy do/undo churn.
 func TestIncrementalEvaluatorDifferential(t *testing.T) {
 	rnd := rng.New(20260807)
@@ -128,8 +208,6 @@ func TestIncrementalEvaluatorDifferential(t *testing.T) {
 	// >= 200 combinations, and the run takes ~3 s even under -race.
 	sequences := 50
 	steps := 24
-	ev := NewEvaluator(3)
-	defer ev.Close()
 	trials := 0
 	for seq := 0; seq < sequences; seq++ {
 		base := randomEvalGraph(t, rnd)
@@ -138,10 +216,10 @@ func TestIncrementalEvaluatorDifferential(t *testing.T) {
 			trials++
 			g := base.Clone()
 			ie := NewIncrementalEvaluator(workers)
-			checkIncrementalStep(t, ie, ev, g, "initial")
+			checkIncrementalStep(t, ie, g, "initial")
 			for i, op := range script {
 				op.apply(t, g)
-				checkIncrementalStep(t, ie, ev, g, "seq "+itoa(seq)+" step "+itoa(i)+" workers "+itoa(workers))
+				checkIncrementalStep(t, ie, g, "seq "+itoa(seq)+" step "+itoa(i)+" workers "+itoa(workers))
 			}
 		}
 	}
@@ -173,12 +251,10 @@ func itoa(i int) string {
 // follow-up move.
 func TestIncrementalRollbackReevaluate(t *testing.T) {
 	rnd := rng.New(99)
-	ev := NewEvaluator(2)
-	defer ev.Close()
 	for trial := 0; trial < 40; trial++ {
 		g := randomEvalGraph(t, rnd)
 		ie := NewIncrementalEvaluator(1 + trial%3)
-		checkIncrementalStep(t, ie, ev, g, "attach")
+		checkIncrementalStep(t, ie, g, "attach")
 		script := randomMoveScript(t, g, rnd, 6)
 		for i, op := range script {
 			// Candidate: apply, peek, reject, roll back.
@@ -197,11 +273,11 @@ func TestIncrementalRollbackReevaluate(t *testing.T) {
 			undo.apply(t, g)
 			// The cache must now answer for the rolled-back (original)
 			// state and for any follow-up mutation.
-			checkIncrementalStep(t, ie, ev, g, "rollback "+itoa(i))
+			checkIncrementalStep(t, ie, g, "rollback "+itoa(i))
 			// Re-apply for real so later candidates see fresh states, and
 			// check again: the undo ops' re-flagging must not linger.
 			op.apply(t, g)
-			checkIncrementalStep(t, ie, ev, g, "reapply "+itoa(i))
+			checkIncrementalStep(t, ie, g, "reapply "+itoa(i))
 		}
 	}
 }
@@ -214,10 +290,8 @@ func TestIncrementalOpLogOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := NewEvaluator(1)
-	defer ev.Close()
 	ie := NewIncrementalEvaluator(2)
-	checkIncrementalStep(t, ie, ev, g, "attach")
+	checkIncrementalStep(t, ie, g, "attach")
 	a, b := g.Edge(0)
 	for i := 0; i < maxOpLog; i++ { // 2 ops per round: guaranteed overflow
 		if err := g.Disconnect(a, b); err != nil {
@@ -230,7 +304,7 @@ func TestIncrementalOpLogOverflow(t *testing.T) {
 	if !g.opOverflow {
 		t.Fatal("op log did not overflow")
 	}
-	checkIncrementalStep(t, ie, ev, g, "post-overflow")
+	checkIncrementalStep(t, ie, g, "post-overflow")
 	// And the evaluator must have re-armed a fresh log.
 	if g.opOverflow || !g.opLogOn {
 		t.Fatal("evaluator did not re-arm the op log after overflow")
@@ -270,59 +344,124 @@ func TestIncrementalEvaluatorSteadyStateAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, step); avg > 0 {
 		t.Fatalf("steady-state incremental evaluation allocates %.1f times per cycle", avg)
 	}
+
+	// The same with every peek repaired in place: a rejected candidate
+	// (repair at the peek, rollback at the next call) and an accepted one
+	// (repair at the peek, a commit that only drops the undo log),
+	// alternating a 2-swap and its reverse so that every commit changes
+	// rows.
+	ie.repairCost = 0
+	from, to := repairedSwap(t, g, ie)
+	cycle := func() {
+		for _, x := range [][2][2][2]int{{from, to}, {to, from}} {
+			swapEdges(t, g, x[0], x[1])
+			ie.PeekEnergy(g)
+			swapEdges(t, g, x[1], x[0])
+			swapEdges(t, g, x[0], x[1])
+			if _, connected, _ := ie.PeekEnergy(g); !connected || !ie.applied {
+				t.Fatal("swap peek disconnected or not repaired")
+			}
+			ie.Energy(g)
+		}
+	}
+	cycle()
+	before := ie.Stats()
+	if avg := testing.AllocsPerRun(50, cycle); avg > 0 {
+		t.Fatalf("steady-state repair allocates %.1f times per cycle", avg)
+	}
+	s := ie.Stats()
+	if s.StoredPeekReuses-before.StoredPeekReuses < 2*50 || s.RepairedEntries == before.RepairedEntries ||
+		s.SweptSources != before.SweptSources || s.FullRebuilds != before.FullRebuilds {
+		t.Fatalf("repair cycle took another path: %+v then %+v", before, s)
+	}
+}
+
+// swapEdges disconnects the edges rm and connects the edges add.
+func swapEdges(t *testing.T, g *Graph, rm, add [2][2]int) {
+	t.Helper()
+	for _, p := range rm {
+		if err := g.Disconnect(p[0], p[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range add {
+		if err := g.Connect(p[0], p[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// repairedSwap finds edges {a,b}, {c,d} of g whose 2-swap to {a,c}, {b,d}
+// keeps the hosts connected and is repaired in place at the peek, both
+// ways; ie (attached to g, its repair forced) and g end as they began.
+func repairedSwap(t *testing.T, g *Graph, ie *IncrementalEvaluator) (from, to [2][2]int) {
+	t.Helper()
+	repaired := func(rm, add [2][2]int) bool {
+		swapEdges(t, g, rm, add)
+		_, connected, _ := ie.PeekEnergy(g)
+		ok := connected && ie.applied
+		swapEdges(t, g, add, rm)
+		ie.Energy(g)
+		return ok
+	}
+	var edges [][2]int
+	for i := 0; i < g.NumEdges(); i++ {
+		a, b := g.Edge(i)
+		edges = append(edges, [2]int{a, b})
+	}
+	for i, e := range edges {
+		for _, f := range edges[i+1:] {
+			a, b, c, d := e[0], e[1], f[0], f[1]
+			if a == c || a == d || b == c || b == d || g.HasEdge(a, c) || g.HasEdge(b, d) {
+				continue
+			}
+			from, to = [2][2]int{{a, b}, {c, d}}, [2][2]int{{a, c}, {b, d}}
+			if !repaired(from, to) {
+				continue
+			}
+			swapEdges(t, g, from, to)
+			ie.Energy(g)
+			back := repaired(to, from)
+			swapEdges(t, g, to, from)
+			ie.Energy(g)
+			if back {
+				return from, to
+			}
+		}
+	}
+	t.Fatal("no 2-swap is repaired in place both ways")
+	return
 }
 
 // FuzzIncrementalEval feeds random edge-mutation scripts (including no-op
-// and revert pairs) to the incremental evaluator and cross-checks every
-// state against a fresh full sweep.
+// and revert pairs, peeks, peeks then commits, and peeks of a candidate
+// extended after its first peek) to the incremental evaluator and checks
+// every energy against EvaluateSlow and, after every call, every cached
+// row against the reference BFS. Odd seeds repair at every peek, even
+// ones let the cost model choose.
 func FuzzIncrementalEval(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 1, 2, 3, 4, 5})
 	f.Add(uint64(7), []byte{9, 9, 9, 9, 0, 0, 0, 0, 255, 254, 253})
 	f.Add(uint64(42), []byte{})
 	f.Add(uint64(20260807), []byte{1, 0, 1, 0, 1, 0, 1, 0, 2, 2, 2, 2})
+	f.Add(uint64(3), []byte{5, 1, 2, 6, 3, 4, 5, 7, 9, 6, 8, 1, 12, 2, 0, 13, 5, 5})
 	f.Fuzz(func(t *testing.T, seed uint64, script []byte) {
 		if len(script) > 96 {
 			script = script[:96]
 		}
 		rnd := rng.New(seed)
 		g := randomEvalGraph(t, rnd)
-		ev := NewEvaluator(2)
-		defer ev.Close()
 		ie := NewIncrementalEvaluator(1 + int(seed%3))
-		checkIncrementalStep(t, ie, ev, g, "attach")
-		m := g.Switches()
-		r := g.Radix()
+		if seed%2 == 1 {
+			ie.repairCost = 0
+		}
+		o := newCacheOracle(t, ie, g)
 		for i := 0; i+2 < len(script); i += 3 {
 			op, x, y := script[i], int(script[i+1]), int(script[i+2])
-			switch op % 5 {
-			case 0: // disconnect an existing edge
-				if g.NumEdges() == 0 {
-					continue
-				}
-				a, b := g.Edge(x % g.NumEdges())
-				if err := g.Disconnect(a, b); err != nil {
-					t.Fatal(err)
-				}
-			case 1: // connect a feasible pair
-				a, b := x%m, y%m
-				if a == b || g.HasEdge(a, b) || g.Degree(a) >= r || g.Degree(b) >= r {
-					continue
-				}
-				if err := g.Connect(a, b); err != nil {
-					t.Fatal(err)
-				}
-			case 2: // move a host
-				if g.Order() == 0 {
-					continue
-				}
-				h := x % g.Order()
-				to := y % m
-				if g.SwitchOf(h) < 0 || to == g.SwitchOf(h) || g.Degree(to) >= r {
-					continue
-				}
-				if err := g.MoveHost(h, to); err != nil {
-					t.Fatal(err)
-				}
+			ctx := "op " + itoa(i)
+			switch op % 7 {
+			case 0, 1, 2: // disconnect an edge, connect a pair, move a host
+				fuzzEdit(t, g, int(op%3), x, y)
 			case 3: // revert pair: disconnect + reconnect (net no-op)
 				if g.NumEdges() == 0 {
 					continue
@@ -334,80 +473,143 @@ func FuzzIncrementalEval(f *testing.F) {
 				if err := g.Connect(a, b); err != nil {
 					t.Fatal(err)
 				}
-			default: // peek without committing anything
-				checkPeek(t, ie, g, "peek "+itoa(i))
+			case 4: // peek without committing anything
+				o.peek(ctx)
+				continue
+			case 5: // peek, then commit the peeked candidate
+				fuzzEdit(t, g, y%3, x, y)
+				o.peek(ctx)
+				o.commit(ctx + " commit")
+				continue
+			default: // peek, extend the candidate, peek again
+				fuzzEdit(t, g, x%3, x, y)
+				o.peek(ctx)
+				fuzzEdit(t, g, y%3, y, x)
+				o.peek(ctx + " extended")
 				continue
 			}
-			checkIncrementalStep(t, ie, ev, g, "op "+itoa(i))
+			o.commit(ctx)
 		}
-		checkIncrementalStep(t, ie, ev, g, "final")
+		o.commit("final")
 	})
 }
 
+// fuzzEdit applies one fuzzer-chosen mutation when it is legal: kind 0
+// disconnects edge x, kind 1 connects switches x and y, kind 2 moves host
+// x to switch y.
+func fuzzEdit(t *testing.T, g *Graph, kind, x, y int) {
+	t.Helper()
+	m, r := g.Switches(), g.Radix()
+	var err error
+	switch kind {
+	case 0:
+		if g.NumEdges() == 0 {
+			return
+		}
+		a, b := g.Edge(x % g.NumEdges())
+		err = g.Disconnect(a, b)
+	case 1:
+		a, b := x%m, y%m
+		if a == b || g.HasEdge(a, b) || g.Degree(a) >= r || g.Degree(b) >= r {
+			return
+		}
+		err = g.Connect(a, b)
+	default:
+		if g.Order() == 0 {
+			return
+		}
+		h, to := x%g.Order(), y%m
+		if g.SwitchOf(h) < 0 || to == g.SwitchOf(h) || g.Degree(to) >= r {
+			return
+		}
+		err = g.MoveHost(h, to)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestIncrementalStats checks the introspection counters against a
-// scripted interaction: attach, commit, peek-stamp reuse and a forced
-// full-rebuild fallback all leave their fingerprints.
+// scripted interaction: attach, commits with and without a peek, a peek
+// that repaired the rows (whose commit is free), a peek that used the
+// totals kernel (whose commit repairs) and a forced full rebuild all leave
+// their fingerprints.
 func TestIncrementalStats(t *testing.T) {
 	g, err := RandomConnected(32, 16, 10, rng.New(17))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ie := NewIncrementalEvaluator(2)
+	q := int64(g.Switches())
 
 	ie.Energy(g) // attach: a rebuild, but not a counted sync
 	s := ie.Stats()
-	if s.Syncs != 0 || s.SweptSources != int64(g.Switches()) {
+	if s.Syncs != 0 || s.SweptSources != q || s.RepairedEntries != 0 {
 		t.Fatalf("after attach: %+v", s)
 	}
 
-	// A host move committed the incremental way (no rows change, so no
-	// sweep happens, but the sync is counted).
+	// A host move committed without a peek: counted, but no row changes
+	// distance, so nothing is repaired or swept.
 	if err := g.MoveHost(0, pickTarget(t, g)); err != nil {
 		t.Fatal(err)
 	}
 	ie.Energy(g)
 	s = ie.Stats()
-	if s.Syncs != 1 || s.FullRebuilds != 0 {
-		t.Fatalf("after commit: %+v", s)
+	if s.Syncs != 1 || s.FullRebuilds != 0 || s.DirtySources != 0 || s.SweptSources != q || s.RepairedEntries != 0 {
+		t.Fatalf("after host commit: %+v", s)
 	}
 
-	// Peek then commit the identical state: the commit must reuse the
-	// peek's stamped dirty list, which a host move leaves empty, so no row
-	// is re-swept.
+	// Peek then commit the identical state: the peek applied the
+	// candidate, so the commit finds it in place.
 	if err := g.MoveHost(0, pickTarget(t, g)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := ie.PeekEnergy(g); !ok {
 		t.Fatal("peek refused")
 	}
-	sweptBefore := ie.Stats().SweptSources
 	ie.Energy(g)
 	s = ie.Stats()
-	if s.Peeks != 1 || s.StoredPeekReuses != 1 {
-		t.Fatalf("peek stamp not reused: %+v", s)
-	}
-	if s.SweptSources != sweptBefore {
-		t.Fatalf("peek commit swept rows: %+v", s)
+	if s.Peeks != 1 || s.StoredPeekReuses != 1 || s.SweptSources != q {
+		t.Fatalf("host peek not reused: %+v", s)
 	}
 
-	// After a rewire the reused dirty list is not empty: the commit
-	// re-sweeps exactly those rows (or everything, past the fallback).
+	// A rewire peeked with the repair forced: the peek repairs the dirty
+	// rows, the commit reuses them.
+	ie.repairCost = 0
 	rewire(t, g, rng.New(3))
-	if _, _, ok := ie.PeekEnergy(g); !ok {
-		t.Fatal("peek refused")
+	before := ie.Stats()
+	if _, _, ok := ie.PeekEnergy(g); !ok || !ie.applied {
+		t.Fatalf("peek refused or not repaired (ok=%v)", ok)
 	}
-	wantSwept := int64(len(ie.dirty))
-	if len(ie.dirty)*fallbackDen > g.Switches()*fallbackNum {
-		wantSwept = int64(g.Switches())
+	peeked := ie.Stats()
+	dirty := int64(len(ie.dirty))
+	if dirty == 0 || peeked.SweptSources != before.SweptSources ||
+		peeked.RepairedEntries == before.RepairedEntries {
+		t.Fatalf("rewire peek: %d dirty rows, stats %+v then %+v", dirty, before, peeked)
 	}
-	sweptBefore = ie.Stats().SweptSources
 	ie.Energy(g)
 	s = ie.Stats()
-	if s.StoredPeekReuses != 2 || wantSwept == 0 || s.SweptSources-sweptBefore != wantSwept {
-		t.Fatalf("rewire commit re-swept %d rows, want %d from the reused stamp: %+v", s.SweptSources-sweptBefore, wantSwept, s)
+	if s.StoredPeekReuses != 2 || s.DirtySources-peeked.DirtySources != dirty ||
+		s.SweptSources != peeked.SweptSources || s.RepairedEntries != peeked.RepairedEntries {
+		t.Fatalf("repaired peek's commit was not free: %+v then %+v", peeked, s)
 	}
 
-	// Batch enough genuine rewires between commits and the dirty-source
+	// The same with the totals kernel at the peek: nothing is applied, and
+	// the commit repairs.
+	ie.repairCost = 1 << 30
+	rewire(t, g, rng.New(5))
+	if _, _, ok := ie.PeekEnergy(g); !ok || ie.applied {
+		t.Fatalf("peek refused or repaired (ok=%v)", ok)
+	}
+	peeked = ie.Stats()
+	ie.Energy(g)
+	s = ie.Stats()
+	if s.StoredPeekReuses != 2 || s.Syncs != peeked.Syncs+1 ||
+		s.RepairedEntries == peeked.RepairedEntries || s.SweptSources != peeked.SweptSources {
+		t.Fatalf("totals peek's commit did not repair: %+v then %+v", peeked, s)
+	}
+
+	// Batch enough genuine rewires between commits and the dirty-row
 	// fraction must eventually exceed the fallback threshold.
 	rnd := rng.New(23)
 	for round := 0; round < 50 && ie.Stats().FullRebuilds == 0; round++ {
@@ -420,7 +622,7 @@ func TestIncrementalStats(t *testing.T) {
 	if s.FullRebuilds == 0 {
 		t.Fatalf("mass dirtying never triggered the fallback: %+v", s)
 	}
-	if s.DirtySources == 0 || s.SweptSources <= int64(g.Switches()) {
+	if s.DirtySources == 0 || s.SweptSources < q*(1+s.FullRebuilds) {
 		t.Fatalf("rewires left no sweep trace: %+v", s)
 	}
 }

@@ -150,52 +150,6 @@ func (g *Graph) HostDistance(a, b int) int {
 	return int(d[sb]) + 2
 }
 
-// SingleSourceHostMetrics returns the h-ASPL and eccentricity (in edges)
-// from host h to all other hosts. Used by tests of the paper's Lemma 1/2
-// constructions. Returns ok=false on disconnection.
-func (g *Graph) SingleSourceHostMetrics(h int) (aspl float64, ecc int, ok bool) {
-	s := g.hostOf[h]
-	if s == -1 {
-		panic("hsgraph: unattached host")
-	}
-	m := len(g.adj)
-	d := make([]int32, m)
-	queue := make([]int32, 0, m)
-	g.SwitchBFS(int(s), d, queue)
-	var total int64
-	count := 0
-	ok = true
-	for t := 0; t < m; t++ {
-		k := int(g.hosts[t])
-		if k == 0 {
-			continue
-		}
-		if d[t] < 0 {
-			ok = false
-			continue
-		}
-		ell := int(d[t]) + 2
-		if t == int(s) {
-			// co-located hosts, excluding h itself
-			total += int64(2 * (k - 1))
-			count += k - 1
-			if k > 1 && ecc < 2 {
-				ecc = 2
-			}
-		} else {
-			total += int64(ell * k)
-			count += k
-			if ell > ecc {
-				ecc = ell
-			}
-		}
-	}
-	if count == 0 {
-		return 0, 0, ok
-	}
-	return float64(total) / float64(count), ecc, ok
-}
-
 // RegularHASPLFromSwitchASPL applies the paper's Equation 1: for a
 // k-regular host-switch graph with n hosts and m switches whose switch
 // graph has ASPL a', the h-ASPL is a'(mn-n)/(mn-m) + 2. bounds applies

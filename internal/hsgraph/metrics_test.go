@@ -155,22 +155,6 @@ func TestHostDistanceSumMatchesTotal(t *testing.T) {
 	}
 }
 
-func TestSingleSourceHostMetrics(t *testing.T) {
-	g, err := Path(6, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aspl, ecc, ok := g.SingleSourceHostMetrics(0)
-	if !ok {
-		t.Fatal("disconnected")
-	}
-	// From host 0: host1 ell2; hosts2,3 ell3; hosts4,5 ell4. avg = (2+3+3+4+4)/5
-	want := float64(2+3+3+4+4) / 5
-	if math.Abs(aspl-want) > 1e-12 || ecc != 4 {
-		t.Fatalf("got aspl=%v ecc=%d, want %v/4", aspl, ecc, want)
-	}
-}
-
 func TestEquation1OnRegularGraphs(t *testing.T) {
 	// For k-regular host-switch graphs, Evaluate must agree with Eq. 1
 	// applied to the switch graph's ASPL.

@@ -47,3 +47,21 @@ func VerifySymmetric(g *Graph, sym int) error {
 	}
 	return nil
 }
+
+// Antipodal reports whether the switch pair {a, b} is fixed by the
+// half-turn σ^(sym/2) of the order-sym action: |a-b| == m/2, possible only
+// for even sym. Such a pair's edge orbit has sym/2 members instead of sym,
+// so the symmetric seed generators never add one and the symmetric move
+// operators never remove or create one: every edge orbit stays full-size
+// and a move can treat all sym images uniformly. Both must use this one
+// predicate.
+func Antipodal(m, sym, a, b int) bool {
+	if sym%2 != 0 {
+		return false
+	}
+	diff := a - b
+	if diff < 0 {
+		diff = -diff
+	}
+	return 2*diff == m
+}

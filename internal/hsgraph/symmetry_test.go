@@ -177,6 +177,30 @@ func TestVerifySymmetric(t *testing.T) {
 	}
 }
 
+// TestAntipodal pins the half-turn fixed-pair predicate the symmetric seed
+// generator and move operators share to keep every edge orbit full-size.
+func TestAntipodal(t *testing.T) {
+	cases := []struct {
+		m, sym, a, b int
+		want         bool
+	}{
+		{12, 2, 0, 6, true},
+		{12, 2, 1, 7, true},
+		{12, 2, 0, 5, false},
+		{12, 3, 0, 6, false}, // odd order: no half-turn
+		{12, 4, 0, 6, true},
+		{12, 4, 2, 8, true},
+		{12, 4, 0, 3, false},
+		{12, 6, 5, 11, true},
+		{8, 2, 7, 3, true}, // order of endpoints irrelevant
+	}
+	for _, tc := range cases {
+		if got := Antipodal(tc.m, tc.sym, tc.a, tc.b); got != tc.want {
+			t.Fatalf("Antipodal(m=%d,sym=%d,%d,%d) = %v, want %v", tc.m, tc.sym, tc.a, tc.b, got, tc.want)
+		}
+	}
+}
+
 // TestOrbitIncrementalDifferential drives an orbit-mode incremental
 // evaluator and a generic one through the same sequence of orbit-closed
 // edits — commits, peeked-then-reverted candidates, whole-orbit removals
@@ -348,9 +372,12 @@ func TestOrbitIncrementalPanicsOnSymmetryBreak(t *testing.T) {
 	NewOrbitIncrementalEvaluator(1, sym).Energy(g)
 }
 
-// FuzzOrbitEval drives random symmetric graphs plus one orbit edit
-// through the orbit-mode incremental evaluator and cross-checks each
-// energy against EvaluateSlow.
+// FuzzOrbitEval drives random symmetric graphs through the orbit-mode
+// incremental evaluator: one orbit edit peeked then committed, and one
+// peeked, extended by a second edit and peeked again before its commit.
+// Every energy is checked against EvaluateSlow and, after every call,
+// every cached row against the reference BFS. Odd seeds repair at every
+// peek, even ones let the cost model choose.
 func FuzzOrbitEval(f *testing.F) {
 	f.Add(uint64(1))
 	f.Add(uint64(42))
@@ -359,25 +386,30 @@ func FuzzOrbitEval(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		rnd := rng.New(seed)
 		g, sym := symTestGraph(t, rnd)
-		want := g.EvaluateSlow()
 		ie := NewOrbitIncrementalEvaluator(1+int(seed%3), sym)
-		e, ok := ie.Energy(g)
-		if ok != want.Connected || (ok && e != want.TotalPath) {
-			t.Fatalf("incremental Energy (%d,%v) inconsistent with %+v", e, ok, want)
+		if seed%2 == 1 {
+			ie.repairCost = 0
 		}
+		o := newCacheOracle(t, ie, g)
 		m := g.Switches()
-		a, b := rnd.Intn(m), rnd.Intn(m)
-		if a != b {
+		edit := func() {
+			a, b := rnd.Intn(m), rnd.Intn(m)
+			if a == b {
+				return
+			}
 			if g.HasEdge(a, b) {
 				symTestRemoveOrbit(t, g, sym, a, b)
 			} else {
 				symTestAddOrbit(t, g, sym, a, b)
 			}
 		}
-		want = g.EvaluateSlow()
-		e, ok = ie.Energy(g)
-		if ok != want.Connected || (ok && e != want.TotalPath) {
-			t.Fatalf("post-edit incremental Energy (%d,%v) inconsistent with %+v", e, ok, want)
-		}
+		edit()
+		o.peek("peek")
+		o.commit("commit")
+		edit()
+		o.peek("second peek")
+		edit()
+		o.peek("extended peek")
+		o.commit("final")
 	})
 }

@@ -116,8 +116,8 @@ type Options struct {
 	Workers int
 	// Eval selects the evaluation mode (see EvalMode). The default
 	// EvalExact evaluates every candidate with the full sweep;
-	// EvalIncremental re-sweeps only dirty sources; EvalSymmetric
-	// quotients the incremental cache by the cyclic group action
+	// EvalIncremental repairs only the cached rows a move changes;
+	// EvalSymmetric quotients the incremental cache by the cyclic group action
 	// (requires Symmetry). All modes compute the exact candidate energy,
 	// so they yield the same accepted-move sequence for a seed.
 	Eval EvalMode
@@ -379,10 +379,10 @@ func runAnneal(st *annealState, o Options, ev *hsgraph.Evaluator, inc *hsgraph.I
 
 	// decide judges the current (mutated) graph against st.energy at
 	// st.temp. Exact mode pays a full sweep per candidate; the cache-backed
-	// modes the dirty-source re-sweep. All modes compute the same integer
-	// energy and consume st.rnd identically (one draw per connected uphill
-	// candidate), so the accepted-move sequence is seed-determined, not
-	// mode-determined.
+	// modes repair the rows the candidate changes. All modes compute the
+	// same integer energy and consume st.rnd identically (one draw per
+	// connected uphill candidate), so the accepted-move sequence is
+	// seed-determined, not mode-determined.
 	st.tel.inc = inc
 
 	// The loop span brackets the iteration range this call actually runs

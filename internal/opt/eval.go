@@ -20,13 +20,13 @@ const (
 	// (hsgraph.Evaluator). The reference mode; the default.
 	EvalExact EvalMode = 0
 	// EvalIncremental evaluates every candidate exactly, but through the
-	// dirty-source cache (hsgraph.IncrementalEvaluator): only sources
-	// whose BFS trees can have changed are re-swept. Energies are
-	// bit-identical to EvalExact, so decisions trivially agree.
+	// distance-row cache (hsgraph.IncrementalEvaluator): only the rows a
+	// move can change are repaired. Energies are bit-identical to
+	// EvalExact, so decisions trivially agree.
 	EvalIncremental EvalMode = 1
 	// EvalSymmetric evaluates through the orbit-quotient incremental
 	// cache (hsgraph.NewOrbitIncrementalEvaluator): only orbit-
-	// representative sources are cached and re-swept, ~Symmetry× fewer
+	// representative rows are cached and repaired, ~Symmetry× fewer
 	// than EvalIncremental, with the fold scaled by the orbit size for
 	// bit-identical energies. Requires Options.Symmetry >= 2 and a start
 	// graph closed under the group action; the symmetric move operators

@@ -31,9 +31,9 @@ type RepairOptions struct {
 	MaxNewLinks int
 	// Eval selects the evaluation mode of the warm-start anneal (see
 	// EvalMode). EvalExact (the default) pays a full sharded sweep per
-	// candidate swap; EvalIncremental re-sweeps only the dirty sources
-	// through hsgraph.IncrementalEvaluator — bit-identical energies, so
-	// the repaired graph is identical move for move.
+	// candidate swap; EvalIncremental repairs only the distance rows the
+	// swap can change, in hsgraph.IncrementalEvaluator — bit-identical
+	// energies, so the repaired graph is identical move for move.
 	Eval EvalMode
 }
 

@@ -15,22 +15,10 @@ import (
 // Pairs fixed by the half-turn σ^(sym/2) (endpoints m/2 apart, even sym
 // only) have short orbits that the uniform image loop would double-touch;
 // every operator rejects moves that would remove or create such an
-// antipodal edge. Image applications that collide (an image of the added
+// antipodal edge (hsgraph.Antipodal, the predicate the seed generator
+// uses too). Image applications that collide (an image of the added
 // edge already present, a port filled by an earlier image) roll back the
 // whole orbit and report failure, leaving the graph untouched.
-
-// symAntipodal reports whether the switch pair {a, b} is fixed by the
-// half-turn σ^(sym/2): |a-b| == m/2, possible only for even sym.
-func symAntipodal(m, sym, a, b int) bool {
-	if sym%2 != 0 {
-		return false
-	}
-	diff := a - b
-	if diff < 0 {
-		diff = -diff
-	}
-	return 2*diff == m
-}
 
 // symEdit accumulates the undo closures of a partially applied orbit move
 // so it can either roll back in place or hand the caller one combined undo.
@@ -114,8 +102,8 @@ func trySymSwap(g *hsgraph.Graph, sym int, rnd *rng.Rand) (undo, bool) {
 		if g.HasEdge(a, d) || g.HasEdge(b, c) {
 			continue
 		}
-		if symAntipodal(m, sym, a, b) || symAntipodal(m, sym, c, d) ||
-			symAntipodal(m, sym, a, d) || symAntipodal(m, sym, b, c) {
+		if hsgraph.Antipodal(m, sym, a, b) || hsgraph.Antipodal(m, sym, c, d) ||
+			hsgraph.Antipodal(m, sym, a, d) || hsgraph.Antipodal(m, sym, b, c) {
 			continue
 		}
 		se := &symEdit{g: g, sym: sym}
@@ -135,7 +123,7 @@ func trySymSwap(g *hsgraph.Graph, sym int, rnd *rng.Rand) (undo, bool) {
 // {a,c}, and on any image collision.
 func applySymSwing(g *hsgraph.Graph, sym, a, b, c int) (undo, bool) {
 	m := g.Switches()
-	if symAntipodal(m, sym, a, b) || symAntipodal(m, sym, a, c) {
+	if hsgraph.Antipodal(m, sym, a, b) || hsgraph.Antipodal(m, sym, a, c) {
 		return nil, false
 	}
 	q := m / sym

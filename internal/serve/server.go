@@ -93,9 +93,9 @@ func newMetrics(reg *obs.Registry) *metrics {
 
 		incSyncs:      reg.Counter("orpd_inc_syncs_total", "Incremental-cache commits with pending work."),
 		incRebuilds:   reg.Counter("orpd_inc_full_rebuilds_total", "Incremental-cache commits that fell back to a full rebuild."),
-		incPeekReuses: reg.Counter("orpd_inc_stored_peek_reuses_total", "Incremental-cache commits that re-swept the dirty list stamped by a peek of the same state."),
-		incSwept:      reg.Counter("orpd_inc_swept_sources_total", "Source rows swept into the incremental cache."),
-		incDirty:      reg.Counter("orpd_inc_dirty_sources_total", "Dirty sources seen at incremental-cache commits."),
+		incPeekReuses: reg.Counter("orpd_inc_stored_peek_reuses_total", "Incremental-cache commits that found the peeked candidate already repaired into the rows."),
+		incSwept:      reg.Counter("orpd_inc_swept_sources_total", "Rows swept into the incremental cache by the row kernel: at attach and at full rebuilds."),
+		incDirty:      reg.Counter("orpd_inc_dirty_sources_total", "Dirty rows seen at incremental-cache commits (every row for a full rebuild)."),
 
 		storeAppends: reg.Counter("orpd_store_appends_total", "Run records appended to the persistent store."),
 		storeLookups: reg.Counter("orpd_store_lookups_total", "Result-cache misses that consulted the persistent store."),

@@ -80,74 +80,6 @@ func TestRandomSymmetricRejects(t *testing.T) {
 	}
 }
 
-// TestRandomRegularSymmetric checks the ODP-shaped generator: d-regular
-// switch graphs, one host per switch, closed under the action.
-func TestRandomRegularSymmetric(t *testing.T) {
-	cases := []struct {
-		n, d, sym int
-	}{
-		{24, 4, 2},
-		{24, 4, 3},
-		{24, 3, 2}, // odd degree: antipodal matching, m even forced
-		{36, 5, 4}, // odd degree, sym 4
-		{30, 6, 5},
-		{64, 3, 8},
-	}
-	for _, tc := range cases {
-		for seed := uint64(1); seed <= 3; seed++ {
-			g, err := RandomRegularSymmetric(tc.n, tc.n, tc.d+1, tc.d, tc.sym, seed)
-			if err != nil {
-				t.Fatalf("RandomRegularSymmetric(n=%d,d=%d,sym=%d,seed=%d): %v", tc.n, tc.d, tc.sym, seed, err)
-			}
-			if err := hsgraph.VerifySymmetric(g, tc.sym); err != nil {
-				t.Fatalf("n=%d d=%d sym=%d seed=%d: %v", tc.n, tc.d, tc.sym, seed, err)
-			}
-			if !g.HostsConnected() {
-				t.Fatalf("n=%d d=%d sym=%d seed=%d: disconnected", tc.n, tc.d, tc.sym, seed)
-			}
-			for s := 0; s < g.Switches(); s++ {
-				if got := g.SwitchDegree(s); got != tc.d {
-					t.Fatalf("n=%d d=%d sym=%d seed=%d: switch %d degree %d", tc.n, tc.d, tc.sym, seed, s, got)
-				}
-				if g.HostCount(s) != 1 {
-					t.Fatalf("n=%d d=%d sym=%d seed=%d: switch %d carries %d hosts", tc.n, tc.d, tc.sym, seed, s, g.HostCount(s))
-				}
-			}
-		}
-	}
-	// Odd degree with odd m has no valid handshake, and sym must divide m.
-	if _, err := RandomRegularSymmetric(25, 25, 4, 3, 5, 1); err == nil {
-		t.Fatal("want error for odd degree on odd m")
-	}
-	if _, err := RandomRegularSymmetric(24, 24, 5, 4, 7, 1); err == nil {
-		t.Fatal("want error when sym does not divide m")
-	}
-}
-
-// TestIsAntipodal pins the half-turn fixed-pair predicate the generators
-// and move operators use to keep every edge orbit full-size.
-func TestIsAntipodal(t *testing.T) {
-	cases := []struct {
-		m, sym, a, b int
-		want         bool
-	}{
-		{12, 2, 0, 6, true},
-		{12, 2, 1, 7, true},
-		{12, 2, 0, 5, false},
-		{12, 3, 0, 6, false}, // odd order: no half-turn
-		{12, 4, 0, 6, true},
-		{12, 4, 2, 8, true},
-		{12, 4, 0, 3, false},
-		{12, 6, 5, 11, true},
-		{8, 2, 7, 3, true}, // order of endpoints irrelevant
-	}
-	for _, tc := range cases {
-		if got := isAntipodal(tc.m, tc.sym, tc.a, tc.b); got != tc.want {
-			t.Fatalf("isAntipodal(m=%d,sym=%d,%d,%d) = %v, want %v", tc.m, tc.sym, tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
 // TestRandomSymmetricPinned pins the generator's output, storage order
 // included, at the scale cell (n=16384, m=4060, r=16, order 4) and at the
 // orpsolve smoke-test cell: the full-endpoint skip in its saturation sweep
