@@ -3,6 +3,9 @@
 # on BASE_REV and on the checked-out tree, then fails when
 #
 #   - bench/run.sh --compare exits non-zero (3: a metric regressed),
+#   - a metric is "unresolved" (the parent's runs spread past the bound),
+#     its median is worse than the bound, and the head's q1..q3 range lies
+#     wholly on the worse side of the base's,
 #   - a head run reports "correct": false, or
 #   - results_digest differs on any seed-matched pair, unless the lines
 #     this change adds to CHANGES.md contain the marker "results change:".
@@ -80,6 +83,33 @@ status=0
 bash bench/run.sh --compare "$rec/base" "$rec/head" | tee "$out/compare.txt" || status=$?
 if [ "$status" -ne 0 ]; then
   echo "::error::bench/run.sh --compare exited $status (3 means a metric regressed)"
+  fail=1
+fi
+# compare.go calls a metric unresolved before it checks the bound, so a
+# regression behind a noisy parent would pass; catch the ones whose
+# quartile ranges do not even overlap. Columns: workload metric base_p50
+# base_q1..q3 head_p50 head_q1..q3 worse% bound% verdict. A table this
+# cannot parse fails the gate too.
+if ! python3 - "$out/compare.txt" <<'PY'
+import json, sys
+better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
+hidden = []
+for line in open(sys.argv[1]):
+    f = line.split()
+    if len(f) != 9 or f[8] != "unresolved":
+        continue
+    bq1, bq3 = map(float, f[3].split(".."))
+    hq1, hq3 = map(float, f[5].split(".."))
+    worse, bound = float(f[6].rstrip("%")), float(f[7].rstrip("%"))
+    apart = hq1 > bq3 if better[f[1]] == "lower" else hq3 < bq1
+    if worse > bound and apart:
+        hidden.append(line.rstrip())
+if hidden:
+    print("::error::unresolved metrics worse than their bound, the head's quartiles wholly on the worse side:")
+    print("\n".join(hidden))
+sys.exit(1 if hidden else 0)
+PY
+then
   fail=1
 fi
 if incorrect=$(grep -lE '"correct": *false' "$rec"/head/*.json); then

@@ -56,7 +56,7 @@ func main() {
 
 		repair      = flag.Bool("repair", false, "repair the degraded graph (reattach, recable, warm-start anneal)")
 		repairIters = flag.Int("repair-iters", 4000, "focused anneal iterations for -repair")
-		evalMode    = flag.String("eval-mode", "exact", "repair anneal evaluation: exact|incremental (bit-identical results)")
+		evalMode    = flag.String("eval-mode", "", "ignored: exact|incremental are accepted, but the repair anneal picks its evaluator from the graph's size")
 
 		svgOut = flag.String("svg", "", "write an SVG of the degraded topology (failures highlighted)")
 		out    = flag.String("o", "", "write the degraded (or repaired, with -repair) graph to this file")
@@ -126,11 +126,12 @@ func main() {
 			*checkpoint, *checkpointEvery, *resume, store)
 		return
 	}
-	mode, err := opt.ParseEvalMode(*evalMode)
-	if err != nil {
-		fatal(err)
+	switch *evalMode {
+	case "", "exact", "incremental":
+	default:
+		fatal(fmt.Errorf("unknown -eval-mode %q (want exact or incremental; either selects nothing)", *evalMode))
 	}
-	runScenario(g, m, *frac, *seed, *workers, *jsonOut, *repair, *repairIters, mode, *svgOut, *out, store)
+	runScenario(g, m, *frac, *seed, *workers, *jsonOut, *repair, *repairIters, *svgOut, *out, store)
 }
 
 // runSweep prints the Monte-Carlo degradation curve.
@@ -309,7 +310,7 @@ type sweepReport struct {
 // runScenario samples one failure scenario, measures it, and optionally
 // repairs the degraded graph and/or writes renderings.
 func runScenario(g *hsgraph.Graph, m fault.Model, frac float64, seed uint64, workers int,
-	jsonOut, doRepair bool, repairIters int, evalMode opt.EvalMode, svgOut, out string,
+	jsonOut, doRepair bool, repairIters int, svgOut, out string,
 	store *runstore.Store) {
 	start, cpu0 := time.Now(), cliutil.CPUSeconds()
 	sc, err := fault.Sample(g, m, frac, seed)
@@ -333,7 +334,6 @@ func runScenario(g *hsgraph.Graph, m fault.Model, frac float64, seed uint64, wor
 			Seed:        seed,
 			Workers:     workers,
 			MaxNewLinks: d.FailedLinks,
-			Eval:        evalMode,
 		})
 		if err != nil {
 			fatal(err)

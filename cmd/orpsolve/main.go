@@ -52,8 +52,8 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		fixedM   = flag.Int("m", 0, "force the switch count (0 = continuous-Moore prediction)")
 		moves    = flag.String("moves", "2ns", "move set: 2ns, swap or swing")
-		evalMode = flag.String("eval-mode", "exact", "evaluation mode: exact, incremental or symmetric (same result, increasing moves/s)")
-		symmetry = flag.Int("symmetry", 0, "search only graphs closed under a cyclic group action of this order (0 = off; pair with -eval-mode symmetric to quotient evaluation)")
+		evalMode = flag.String("eval-mode", "", "ignored: exact, incremental and symmetric are accepted, but the annealer picks its evaluator from the graph's size")
+		symmetry = flag.Int("symmetry", 0, "search only graphs closed under a cyclic group action of this order (0 = off)")
 		out      = flag.String("o", "", "output file for the graph (default stdout)")
 		dfs      = flag.Bool("dfs", true, "relabel hosts in depth-first order (paper §6.2.1)")
 		verbose  = flag.Bool("v", false, "print annealing progress")
@@ -97,9 +97,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "orpsolve: unknown move set %q\n", *moves)
 		os.Exit(2)
 	}
-	eval, err := opt.ParseEvalMode(*evalMode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "orpsolve: %v\n", err)
+	switch *evalMode {
+	case "", "exact", "incremental", "symmetric":
+	default:
+		fmt.Fprintf(os.Stderr, "orpsolve: unknown -eval-mode %q (want exact, incremental or symmetric; each selects nothing)\n", *evalMode)
 		os.Exit(2)
 	}
 
@@ -149,7 +150,6 @@ func main() {
 		FixedM:          *fixedM,
 		Moves:           moveSet,
 		Workers:         *workers,
-		Eval:            eval,
 		Symmetry:        *symmetry,
 		TraceEnergy:     store != nil, // stored records carry the convergence trace
 		CheckpointPath:  *checkpoint,
@@ -210,7 +210,7 @@ func main() {
 			// so per-seed records carry wall/CPU deltas and no phase
 			// decomposition.
 			if err := store.AppendRun(func() runstore.Record {
-				return solveRecord(ti, *n, *r, oi.Seed, *symmetry, *evalMode, *workers,
+				return solveRecord(ti, *n, *r, oi.Seed, *symmetry, *workers,
 					time.Since(seedStart).Seconds(), cliutil.CPUSeconds()-seedCPU, nil)
 			}); err != nil {
 				fmt.Fprintf(os.Stderr, "orpsolve: store: %v\n", err)
@@ -250,7 +250,7 @@ func main() {
 		// Single solve: the ended root span yields the run's wall-time
 		// decomposition (repeat mode already recorded per seed above).
 		if err := store.AppendRun(func() runstore.Record {
-			return solveRecord(top, *n, *r, o.Seed, *symmetry, *evalMode, *workers,
+			return solveRecord(top, *n, *r, o.Seed, *symmetry, *workers,
 				time.Since(solveStart).Seconds(), cliutil.CPUSeconds(),
 				runstore.PhasesFromDurations(obs.PhaseDurations(spans.Events())))
 		}); err != nil {
@@ -322,7 +322,7 @@ type solveResult struct {
 
 // solveRecord builds the run-store record for one completed solve. Only
 // called via Store.AppendRun, so it never runs when -store is off.
-func solveRecord(ti *core.Topology, n, r int, seed uint64, symmetry int, evalMode string, workers int, wall, cpu float64, phases []runstore.Phase) runstore.Record {
+func solveRecord(ti *core.Topology, n, r int, seed uint64, symmetry, workers int, wall, cpu float64, phases []runstore.Phase) runstore.Record {
 	res, _ := json.Marshal(solveResult{
 		Method:          fmt.Sprint(ti.Method),
 		N:               n,
@@ -347,7 +347,6 @@ func solveRecord(ti *core.Topology, n, r int, seed uint64, symmetry int, evalMod
 		M:           ti.MUsed,
 		R:           r,
 		Symmetry:    symmetry,
-		EvalMode:    evalMode,
 		Workers:     workers,
 		Metrics: runstore.MetricsOf(ti.Metrics.HASPL, ti.Metrics.Diameter,
 			ti.Metrics.Connected, ti.Metrics.TotalPath, ti.Metrics.ReachablePairs),

@@ -192,7 +192,7 @@ type AnnealObserver struct {
 
 	// Progress prints one line per sample to stderr.
 	Progress bool
-	// Sink receives anneal.sample events (schema.go field keys).
+	// Sink receives anneal.sample events (opt.AnnealSample.Event).
 	Sink *SinkFile
 
 	// Registry gauges (nil unless built by NewAnnealObserver with one).
@@ -238,27 +238,6 @@ func (ao *AnnealObserver) ObserveAnneal(s opt.AnnealSample) {
 			s.Iter, s.Iterations, s.Current, s.Best, s.AcceptRate(), s.MovesPerSec)
 	}
 	if ao.Sink != nil {
-		f := map[string]float64{
-			"iter":            float64(s.Iter),
-			"temp":            s.Temp,
-			"current":         float64(s.Current),
-			"best":            float64(s.Best),
-			"accepted":        float64(s.Accepted),
-			"proposed":        float64(s.Proposed),
-			"swapAttempts":    float64(s.Moves.SwapAttempts),
-			"swapAccepts":     float64(s.Moves.SwapAccepts),
-			"swingAttempts":   float64(s.Moves.SwingAttempts),
-			"swingAccepts":    float64(s.Moves.SwingAccepts),
-			"counterAttempts": float64(s.Moves.CounterAttempts),
-			"counterAccepts":  float64(s.Moves.CounterAccepts),
-			"movesPerSec":     s.MovesPerSec,
-			"restart":         float64(s.Restart),
-		}
-		if ev := s.Eval; ev != (opt.EvalStats{}) {
-			f["incSyncs"] = float64(ev.Inc.Syncs)
-			f["incFullRebuilds"] = float64(ev.Inc.FullRebuilds)
-			f["incPeeks"] = float64(ev.Inc.Peeks)
-		}
-		ao.Sink.Emit(obs.Event{T: s.Elapsed, Kind: obs.KindAnnealSample, F: f})
+		ao.Sink.Emit(s.Event())
 	}
 }

@@ -71,18 +71,20 @@ type Options struct {
 	// GOMAXPROCS, multi-restart runs let opt.ParallelAnneal split the
 	// cores between restarts and shards. Results are worker-invariant.
 	Workers int
-	// Eval selects the annealer's evaluation mode (exact, incremental or
-	// symmetric; see opt.EvalMode). Default exact.
+	// Eval is ignored: the annealer picks its evaluator from the graph's
+	// size, and every path gives the same result (see opt.EvalMode).
+	//
+	// Deprecated: Eval selects nothing.
 	Eval opt.EvalMode
 	// Symmetry, when >= 2, makes the annealed regime search only graphs
 	// closed under a cyclic group action of order Symmetry: the start is
 	// a symmetric random graph (topo.RandomSymmetric) and every move is a
 	// symmetry-preserving operator. Unless FixedM pins it, the predicted
 	// switch count is adjusted to the nearest value compatible with the
-	// group action. Pair with Eval = opt.EvalSymmetric to also quotient
-	// the evaluation (~Symmetry× fewer BFS sweeps per decision). The
-	// single-switch and clique regimes are already provably optimal and
-	// ignore this field.
+	// group action. Where the annealer scores through the incremental
+	// cache, the cache then keeps only orbit-representative rows
+	// (~Symmetry× fewer). The single-switch and clique regimes are already
+	// provably optimal and ignore this field.
 	Symmetry int
 	// OnProgress is forwarded to the annealer (single-restart runs only).
 	OnProgress func(iter int, current, best int64)
@@ -211,7 +213,6 @@ func Solve(n, r int, o Options) (*Topology, error) {
 		Moves:           o.Moves,
 		Seed:            o.Seed + 1,
 		Workers:         o.Workers,
-		Eval:            o.Eval,
 		Symmetry:        o.Symmetry,
 		OnProgress:      o.OnProgress,
 		Observer:        o.Observer,

@@ -27,10 +27,6 @@ import (
 type Evaluator struct {
 	workers int
 
-	// Connectivity pre-check scratch (Energy fast path).
-	dist  []int32
-	queue []int32
-
 	srcs   []int32        // host-bearing switches, gathered per call
 	shards []sweepScratch // one per worker
 
@@ -114,9 +110,9 @@ func (e *Evaluator) Evaluate(g *Graph) Metrics {
 }
 
 // Energy is the annealing hot path: it returns the total host-pair path
-// length and whether all hosts are connected. A single plain BFS checks
-// connectivity first, so moves that disconnect the switch graph fail in
-// O(edges) instead of paying the full all-pairs sweep.
+// length and whether all hosts are connected, or (0, false) for a
+// disconnected graph. Connectivity comes from the sweep itself, which
+// counts the reachable host-bearing pairs.
 func (e *Evaluator) Energy(g *Graph) (int64, bool) {
 	total, pairs, diam, allAttached, trivial := e.gather(g)
 	if trivial {
@@ -125,11 +121,11 @@ func (e *Evaluator) Energy(g *Graph) (int64, bool) {
 		}
 		return total, allAttached
 	}
-	if !allAttached || !e.connectedQuick(g, len(e.srcs)) {
+	met := e.apsp(g, total, pairs, diam, allAttached)
+	if !met.Connected {
 		return 0, false
 	}
-	met := e.apsp(g, total, pairs, diam, allAttached)
-	return met.TotalPath, met.Connected
+	return met.TotalPath, true
 }
 
 // gather collects the host-bearing switches into e.srcs and returns the
@@ -152,40 +148,6 @@ func (e *Evaluator) gather(g *Graph) (total, pairs int64, diam int, allAttached,
 		}
 	}
 	return total, pairs, diam, attached == int64(g.n), len(e.srcs) <= 1
-}
-
-// connectedQuick reports whether want host-bearing switches (the total
-// count in g) are reachable from the first gathered source, with a single
-// serial BFS over reused scratch.
-func (e *Evaluator) connectedQuick(g *Graph, want int) bool {
-	m := len(g.adj)
-	if cap(e.dist) < m {
-		e.dist = make([]int32, m)
-		e.queue = make([]int32, 0, m)
-	}
-	seen := e.dist[:m]
-	for i := range seen {
-		seen[i] = 0
-	}
-	queue := e.queue[:0]
-	start := e.srcs[0]
-	seen[start] = 1
-	queue = append(queue, start)
-	bearing := 1
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, u := range g.adj[v] {
-			if seen[u] == 0 {
-				seen[u] = 1
-				if g.hosts[u] > 0 {
-					bearing++
-				}
-				queue = append(queue, u)
-			}
-		}
-	}
-	e.queue = queue[:0]
-	return bearing == want
 }
 
 // apsp runs the sharded bit-parallel all-pairs sweep and finishes the

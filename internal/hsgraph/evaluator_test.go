@@ -204,9 +204,10 @@ func TestEvaluatorTrivialRegimes(t *testing.T) {
 	}
 }
 
-// TestEvaluatorEnergyFailsFastOnDisconnection checks the early-exit
-// contract: Energy reports disconnection (via the single-BFS pre-check)
-// exactly when the full evaluation would.
+// TestEvaluatorEnergyFailsFastOnDisconnection checks the disconnection
+// contract: Energy answers (0, false), taking connectivity from the
+// sweep's reachable-pair count, exactly when the full evaluation reports
+// a disconnected graph.
 func TestEvaluatorEnergyFailsFastOnDisconnection(t *testing.T) {
 	rnd := rng.New(31)
 	ev := NewEvaluator(2)
@@ -228,8 +229,8 @@ func TestEvaluatorEnergyFailsFastOnDisconnection(t *testing.T) {
 	if g.HostCount(0) == 0 {
 		t.Skip("switch 0 carried no hosts after generation")
 	}
-	if _, ok := ev.Energy(g); ok {
-		t.Fatal("isolated host-bearing switch not detected")
+	if e, ok := ev.Energy(g); ok || e != 0 {
+		t.Fatalf("isolated host-bearing switch not detected: Energy = (%d, %v), want (0, false)", e, ok)
 	}
 	if met := ev.Evaluate(g); met.Connected {
 		t.Fatal("full evaluation disagrees with Energy on connectivity")

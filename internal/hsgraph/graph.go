@@ -409,42 +409,24 @@ func (g *Graph) HostsConnected() bool {
 	if g.n == 0 {
 		return true
 	}
-	start := -1
-	total := 0
-	for s := range g.adj {
-		if g.hosts[s] > 0 {
-			total++
-			if start == -1 {
-				start = s
-			}
-		}
-	}
 	for _, s := range g.hostOf {
 		if s == -1 {
 			return false
 		}
 	}
-	if start == -1 {
-		return false
+	// Every host is attached, so some switch bears one.
+	start := 0
+	for g.hosts[start] == 0 {
+		start++
 	}
-	seen := make([]bool, len(g.adj))
-	queue := []int32{int32(start)}
-	seen[start] = true
-	reached := 1 // start is host-bearing by construction
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range g.adj[v] {
-			if !seen[u] {
-				seen[u] = true
-				if g.hosts[u] > 0 {
-					reached++
-				}
-				queue = append(queue, u)
-			}
+	dist := make([]int32, len(g.adj))
+	g.SwitchBFS(start, dist, make([]int32, 0, len(g.adj)))
+	for s, d := range dist {
+		if d < 0 && g.hosts[s] > 0 {
+			return false
 		}
 	}
-	return reached == total
+	return true
 }
 
 // HostDistribution returns a histogram hist[k] = number of switches with

@@ -53,7 +53,8 @@ import (
 // An IncrementalEvaluator is not safe for concurrent use, and at most one
 // may be attached to a graph at a time (attaching a second one invalidates
 // the first, which then falls back to a full rebuild). Memory cost is one
-// m x m distance matrix of int16, so m is capped at MaxIncrementalSwitches.
+// q x m distance matrix of int16, capped at maxRowEntries entries (see
+// PreferIncremental).
 //
 // Orbit mode (NewOrbitIncrementalEvaluator with sym >= 2) caches and
 // repairs only the m/sym orbit-representative rows of a sym-symmetric
@@ -157,13 +158,38 @@ type IncStats struct {
 // Stats returns the evaluator's cumulative decision counters.
 func (ie *IncrementalEvaluator) Stats() IncStats { return ie.stats }
 
-// MaxIncrementalSwitches bounds the cached distance matrix (int16
-// distances, m^2 entries). 20000 switches cost ~800 MB; beyond that the
-// incremental cache is the wrong tool and the constructor-free fallback
-// (plain Evaluator) should be used. Exported so callers selecting an
-// evaluation mode can refuse oversized instances up front instead of
-// hitting the attach-time panic.
-const MaxIncrementalSwitches = 20000
+// maxRowEntries is the row store's budget in int16 entries: 20000² of
+// them, ~800 MB, the largest q×m store the cache builds.
+const maxRowEntries = 20000 * 20000
+
+// laneWidth is the row and totals kernels' batch size: one traversal
+// sweeps up to this many sources, in two mask words.
+const laneWidth = 128
+
+// maxExactSwitches is the largest graph the annealer scores with the
+// sharded Evaluator when the cache would fit: up to 64 switches a
+// candidate costs the exact path one traversal with one-word lanes, and
+// the cache's per-move bookkeeping does not beat that. Measured on
+// generic and 2- and 4-symmetric graphs at r = 12, 15 and 16, the exact
+// path wins every cell up to m = 64; from m = 72 the two tie or the cache
+// wins (DESIGN §5, "One evaluation path, chosen by size").
+const maxExactSwitches = 64
+
+// PreferIncremental reports whether an anneal over a graph of m switches
+// with symmetry order sym (values below 2 mean none) should score its
+// candidates through the incremental cache instead of the sharded
+// Evaluator. Both compute the same integers bit for bit; the choice only
+// moves the cost. The cache pays above maxExactSwitches, and only while
+// its real row store — q×m int16 entries, q = m/sym orbit-representative
+// rows — fits maxRowEntries. With sym >= 2 the cache keeps orbit rows.
+func PreferIncremental(m, sym int) bool {
+	return m > maxExactSwitches && rowEntries(m, sym) <= maxRowEntries
+}
+
+// rowEntries is the row store's size for m switches under symmetry sym.
+func rowEntries(m, sym int) int64 {
+	return int64(m/max(sym, 1)) * int64(m)
+}
 
 // Fallback threshold: when more than fallbackNum/fallbackDen of the rows
 // change, a peek evaluates with the totals kernel and a commit rebuilds
@@ -218,8 +244,8 @@ func (ie *IncrementalEvaluator) row(s int) []int16 {
 // attach arms the op log on g and rebuilds the full cache.
 func (ie *IncrementalEvaluator) attach(g *Graph) {
 	m := len(g.adj)
-	if m > MaxIncrementalSwitches {
-		panic(fmt.Sprintf("hsgraph: IncrementalEvaluator supports at most %d switches, got %d", MaxIncrementalSwitches, m))
+	if n := rowEntries(m, ie.sym); n > maxRowEntries {
+		panic(fmt.Sprintf("hsgraph: IncrementalEvaluator row store of %d entries exceeds its budget of %d", n, maxRowEntries))
 	}
 	if ie.sym > 1 {
 		if err := VerifySymmetric(g, ie.sym); err != nil {
@@ -738,33 +764,33 @@ func (ie *IncrementalEvaluator) rebuildAll() {
 	ie.levels = 1 + int(slices.Max(ie.row(0)))
 }
 
-// sweepSources sweeps the given sources on the current graph in lane-width
-// batches sharded over the workers. With rows it recomputes their cached
-// distance rows and aggregates; without, it writes nothing and returns the
-// batch totals under the current host counts (totalsEnergy).
+// sweepSources sweeps the given sources on the current graph in
+// laneWidth batches sharded over the workers. With rows it recomputes
+// their cached distance rows and aggregates; without, it writes nothing
+// and returns the batch totals under the current host counts
+// (totalsEnergy).
 func (ie *IncrementalEvaluator) sweepSources(srcs []int32, rows bool) batchTotals {
 	var t batchTotals
 	if len(srcs) == 0 {
 		return t
 	}
-	stride := sweepStride(len(srcs))
-	workers := min(ie.workers, (len(srcs)+stride-1)/stride)
+	workers := min(ie.workers, (len(srcs)+laneWidth-1)/laneWidth)
 	ie.cursor.Store(0)
 	for w := range ie.sweep[:workers] {
 		ie.sweep[w].tot = batchTotals{}
 	}
 	if workers <= 1 {
-		ie.runBatches(&ie.sweep[0], srcs, stride, rows)
+		ie.runBatches(&ie.sweep[0], srcs, rows)
 	} else {
 		var wg sync.WaitGroup
 		for w := 1; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				ie.runBatches(&ie.sweep[w], srcs, stride, rows)
+				ie.runBatches(&ie.sweep[w], srcs, rows)
 			}(w)
 		}
-		ie.runBatches(&ie.sweep[0], srcs, stride, rows)
+		ie.runBatches(&ie.sweep[0], srcs, rows)
 		wg.Wait()
 	}
 	for w := range ie.sweep[:workers] {
@@ -773,123 +799,31 @@ func (ie *IncrementalEvaluator) sweepSources(srcs []int32, rows bool) batchTotal
 	return t
 }
 
-// sweepStride picks the lane width of a sweep: two-word 128-lane batches
-// once a single 64-lane batch cannot cover the sources, halving the number
-// of graph traversals for the common 65..128-source dirty sets.
-func sweepStride(n int) int {
-	if n > 64 {
-		return 128
-	}
-	return 64
-}
-
-func (ie *IncrementalEvaluator) runBatches(sc *sweepScratch, srcs []int32, stride int, rows bool) {
+func (ie *IncrementalEvaluator) runBatches(sc *sweepScratch, srcs []int32, rows bool) {
 	sc.grow(ie.m)
 	for {
 		idx := int(ie.cursor.Add(1)) - 1
-		lo := idx * stride
+		lo := idx * laneWidth
 		if lo >= len(srcs) {
 			return
 		}
-		batch := srcs[lo:min(lo+stride, len(srcs))]
-		switch {
-		case !rows:
-			sc.sweepTotals(ie.g, batch)
-		case len(batch) <= 64:
-			ie.sweepRows(sc, batch)
-		default:
+		batch := srcs[lo:min(lo+laneWidth, len(srcs))]
+		if rows {
 			ie.sweepRowsWide(sc, batch)
+		} else {
+			sc.sweepTotals(ie.g, batch)
 		}
 	}
 }
 
-// sweepRows runs one bit-parallel BFS with the batch sources in the word
-// lanes, writing each source's full distance row. The row aggregates are
-// accumulated per lane during the sweep — the same integer additions a
-// post-hoc pass over the row would do, just without re-reading it — and
-// weight the targets by the committed host counts, like every row.
-func (ie *IncrementalEvaluator) sweepRows(sc *sweepScratch, batch []int32) {
-	g := ie.g
-	m := ie.m
-	visited := sc.visited[:m]
-	front := sc.front[:m]
-	next := sc.next[:m]
-	for i := range visited {
-		visited[i] = 0
-		front[i] = 0
-	}
-	var rows [64][]int16
-	var sumKD, w, prevW, rch [64]int64
-	for bit, s := range batch {
-		row := ie.row(int(s))
-		copy(row, ie.negRow)
-		row[s] = 0
-		rows[bit] = row
-		visited[s] |= 1 << uint(bit)
-		front[s] |= 1 << uint(bit)
-	}
-	for level := int16(1); ; level++ {
-		for i := range next {
-			next[i] = 0
-		}
-		active := false
-		for v := 0; v < m; v++ {
-			fv := front[v]
-			if fv == 0 {
-				continue
-			}
-			// Unconditionally OR the frontier into next: the settle pass
-			// below masks off already-visited bits, so pre-filtering here
-			// would only add a visited load and a branch per edge word.
-			for _, u := range g.adj[v] {
-				next[u] |= fv
-			}
-		}
-		for v := 0; v < m; v++ {
-			nv := next[v] &^ visited[v]
-			if nv == 0 {
-				next[v] = 0
-				continue
-			}
-			next[v] = nv
-			visited[v] |= nv
-			active = true
-			kv := int64(ie.hosts[v])
-			for mask := nv; mask != 0; mask &= mask - 1 {
-				bit := trailingZeros(mask)
-				rows[bit][v] = level
-				if kv > 0 {
-					w[bit] += kv
-					rch[bit]++
-				}
-			}
-		}
-		if !active {
-			front, next = next, front
-			break
-		}
-		// Fold this level's newly-reached host weight into the distance
-		// sum once per lane instead of once per visit: the lanes whose
-		// weight moved gained exactly level * (w - prevW).
-		for bit := range batch {
-			if d := w[bit] - prevW[bit]; d != 0 {
-				sumKD[bit] += int64(level) * d
-				prevW[bit] = w[bit]
-			}
-		}
-		front, next = next, front
-	}
-	for bit, s := range batch {
-		ie.rowSum[s] = sumKD[bit] + 2*w[bit]
-		ie.rowW[s] = w[bit]
-		ie.rowRch[s] = rch[bit]
-	}
-}
-
-// sweepRowsWide is sweepRows over two mask words: up to 128 sources share
-// one graph traversal, with lane i of the batch living in word i>>6, bit
-// i&63 of the interleaved visited/front/next arrays. Each source's row and
-// aggregates come out as the identical integers sweepRows would produce.
+// sweepRowsWide, the row kernel, runs one bit-parallel BFS with up to 128
+// batch sources in the lanes of two mask words — lane i of the batch lives in word i>>6, bit
+// i&63 of the interleaved visited/front/next arrays; the second word stays
+// zero for batches of 64 sources or fewer — writing each source's full
+// distance row. The row aggregates are accumulated per lane during the
+// sweep — the same integer additions a post-hoc pass over the row would
+// do, just without re-reading it — and weight the targets by the
+// committed host counts, like every row.
 func (ie *IncrementalEvaluator) sweepRowsWide(sc *sweepScratch, batch []int32) {
 	g := ie.g
 	m := ie.m
@@ -922,8 +856,9 @@ func (ie *IncrementalEvaluator) sweepRowsWide(sc *sweepScratch, batch []int32) {
 			if f0|f1 == 0 {
 				continue
 			}
-			// Unconditional OR; the settle pass masks visited bits (see the
-			// narrow variant).
+			// Unconditionally OR the frontier into next: the settle pass
+			// below masks off already-visited bits, so pre-filtering here
+			// would only add a visited load and a branch per edge word.
 			for _, u := range g.adj[v] {
 				j0 := 2 * int(u)
 				next[j0] |= f0
@@ -964,7 +899,9 @@ func (ie *IncrementalEvaluator) sweepRowsWide(sc *sweepScratch, batch []int32) {
 			front, next = next, front
 			break
 		}
-		// Per-level weight-delta fold; see sweepRows.
+		// Fold this level's newly-reached host weight into the distance
+		// sum once per lane instead of once per visit: the lanes whose
+		// weight moved gained exactly level * (w - prevW).
 		for lane := range batch {
 			if d := w[lane] - prevW[lane]; d != 0 {
 				sumKD[lane] += int64(level) * d

@@ -1,6 +1,7 @@
 package hsgraph
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -664,4 +665,52 @@ func pickTarget(t *testing.T, g *Graph) int {
 	}
 	t.Fatal("no legal host move")
 	return -1
+}
+
+// TestPreferIncrementalSizeRule pins the evaluation path's size rule: the
+// exact path up to m = 64, the cache above it while its q×m int16 row
+// store fits the budget of 20000² entries, with orbit rows (q = m/sym)
+// stretching the budget under symmetry. A graph over the budget takes the exact path; attaching the
+// cache to one anyway panics and names the computed size.
+func TestPreferIncrementalSizeRule(t *testing.T) {
+	for _, tc := range []struct {
+		m, sym int
+		want   bool
+	}{
+		{18, 1, false},
+		{64, 1, false},
+		{65, 1, true},
+		{65, 0, true},
+		{64, 4, false},
+		{68, 4, true},
+		{20000, 1, true},  // 4.00e8 entries, the budget exactly
+		{20001, 1, false}, // 20001² entries
+		{20001, 3, true},  // 6667 orbit rows
+		{28284, 2, true},  // 14142·28284 = 399 992 328 entries
+		{28286, 2, false}, // 14143·28286 = 400 048 898 entries
+	} {
+		if got := PreferIncremental(tc.m, tc.sym); got != tc.want {
+			t.Errorf("PreferIncremental(%d, %d) = %v, want %v", tc.m, tc.sym, got, tc.want)
+		}
+	}
+
+	m := 20001
+	g := New(2, m, 4)
+	for h, s := range []int{0, 1} {
+		if err := g.AttachHost(h, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for s := 0; s < m; s++ {
+		if err := g.Connect(s, (s+1)%m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "400040001 entries") {
+			t.Fatalf("attaching an over-budget cache: want a panic naming its size, got %q", msg)
+		}
+	}()
+	NewIncrementalEvaluator(1).Energy(g)
 }

@@ -20,7 +20,9 @@ import "repro/internal/buildinfo"
 //	anneal.sample: iter, temp, current, best, accepted, proposed,
 //	               swingAttempts, swingAccepts, counterAttempts,
 //	               counterAccepts, swapAttempts, swapAccepts,
-//	               movesPerSec, restart
+//	               movesPerSec, restart, incSyncs, incFullRebuilds,
+//	               incPeeks (every key on every sample; one encoder,
+//	               opt.AnnealSample.Event, writes them)
 //	anneal.done:   iters, bestTotalPath, bestHASPL, acceptRate, seconds
 //	sweep.trial:   fraction, trial, done, total, seconds,
 //	               survivingHASPL, stretch, reachableFrac, failedLinks,

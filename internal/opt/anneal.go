@@ -109,25 +109,22 @@ type Options struct {
 	EnergyTraceMax int // cap on len(Result.EnergyTrace); default 2048
 	// restart tags observer samples from ParallelAnneal.
 	restart int
+	// reference, set only by tests, scores every candidate with
+	// EvaluateSlow: the reference anneal that every path must reproduce.
+	reference bool
 	// Workers is the number of shard workers each h-ASPL evaluation is
 	// split over (see hsgraph.Evaluator). Values <= 1 evaluate serially.
 	// The result is identical for every worker count; only throughput
 	// changes. ParallelAnneal resolves 0 to a share of GOMAXPROCS.
 	Workers int
-	// Eval selects the evaluation mode (see EvalMode). The default
-	// EvalExact evaluates every candidate with the full sweep;
-	// EvalIncremental repairs only the cached rows a move changes;
-	// EvalSymmetric quotients the incremental cache by the cyclic group action
-	// (requires Symmetry). All modes compute the exact candidate energy,
-	// so they yield the same accepted-move sequence for a seed.
-	Eval EvalMode
 	// Symmetry, when >= 2, restricts the search to graphs closed under
 	// the cyclic group action σ(s) = (s + m/Symmetry) mod m: the start
 	// graph must verify (see hsgraph.VerifySymmetric) and every move is a
 	// symmetric operator applying the base edit plus its images to a
-	// whole orbit. Works with every Eval mode; EvalSymmetric additionally
-	// exploits it to sweep ~Symmetry× fewer sources. 0 and 1 mean no
-	// symmetry; negative values are rejected.
+	// whole orbit. Where the annealer scores through the incremental cache
+	// (hsgraph.PreferIncremental), the cache then keeps only the orbit
+	// representatives' rows, ~Symmetry× fewer. 0 and 1 mean no symmetry;
+	// negative values are rejected.
 	Symmetry int
 
 	// CheckpointPath, when non-empty, makes the annealer write a
@@ -147,8 +144,7 @@ type Options struct {
 	// exist the run starts from scratch (so kill-and-resume loops are
 	// idempotent). The resumed run is bit-identical — best graph, every
 	// Result field, the energy trace — to the run that was never
-	// interrupted, at every worker count and under every evaluation mode
-	// (a snapshot resumes under whichever mode the caller asks for).
+	// interrupted, at every worker count.
 	// Stream-defining options stored in the snapshot (iterations, move
 	// set, schedule, temperatures, seed, sampling interval, trace
 	// settings, symmetry) must match any non-zero values in these
@@ -186,7 +182,7 @@ type Result struct {
 	EnergyTrace       []float64
 	EnergyTraceStride int
 	// Eval snapshots the incremental cache's counters at the end of the
-	// run (all zero in EvalExact mode, and reset by a resume — see
+	// run (all zero on the exact path, and reset by a resume — see
 	// telemetry; they include the temperature calibration's peeks).
 	// Excluded from JSON: the counters are in-process diagnostics, not
 	// part of the run's deterministic result (a resumed run re-attaches
@@ -237,16 +233,8 @@ func validateOptions(o *Options) error {
 	default:
 		return fmt.Errorf("opt: unknown schedule %v", o.Schedule)
 	}
-	switch o.Eval {
-	case EvalExact, EvalIncremental, EvalSymmetric:
-	default:
-		return fmt.Errorf("opt: unknown evaluation mode %v", o.Eval)
-	}
 	if o.Symmetry < 0 {
 		return fmt.Errorf("opt: negative Symmetry %d", o.Symmetry)
-	}
-	if o.Eval == EvalSymmetric && o.Symmetry < 2 {
-		return fmt.Errorf("opt: evaluation mode %v requires Symmetry >= 2, got %d", o.Eval, o.Symmetry)
 	}
 	return nil
 }
@@ -278,14 +266,6 @@ func Anneal(start *hsgraph.Graph, o Options) (*hsgraph.Graph, Result, error) {
 	if err := validateOptions(&o); err != nil {
 		return nil, Result{}, err
 	}
-	// The cache-backed modes refuse oversized graphs up front with a
-	// documented error — the alternative is an attach-time panic deep in
-	// the loop (and historically a silent fall-through was on the table;
-	// neither is acceptable).
-	if o.Eval != EvalExact && start.Switches() > hsgraph.MaxIncrementalSwitches {
-		return nil, Result{}, fmt.Errorf("opt: evaluation mode %v uses the incremental cache, which supports at most %d switches (graph has %d); use EvalExact for larger graphs",
-			o.Eval, hsgraph.MaxIncrementalSwitches, start.Switches())
-	}
 	if o.Symmetry > 1 {
 		if err := hsgraph.VerifySymmetric(start, o.Symmetry); err != nil {
 			return nil, Result{}, fmt.Errorf("opt: Symmetry=%d start graph: %w", o.Symmetry, err)
@@ -296,17 +276,6 @@ func Anneal(start *hsgraph.Graph, o Options) (*hsgraph.Graph, Result, error) {
 	}
 	ev := hsgraph.NewEvaluator(o.Workers)
 	defer ev.Close()
-	// The cache-backed modes share one incremental evaluator between the
-	// temperature calibration and the loop, so its distance matrix is
-	// allocated once.
-	var inc *hsgraph.IncrementalEvaluator
-	if o.Eval != EvalExact {
-		sym := 1
-		if o.Eval == EvalSymmetric {
-			sym = o.Symmetry
-		}
-		inc = hsgraph.NewOrbitIncrementalEvaluator(max(o.Workers, 1), sym)
-	}
 
 	if o.Resume && o.CheckpointPath != "" {
 		if _, err := os.Stat(o.CheckpointPath); err == nil {
@@ -318,31 +287,34 @@ func Anneal(start *hsgraph.Graph, o Options) (*hsgraph.Graph, Result, error) {
 			}
 			sp.SetF("iter", float64(st.iter))
 			sp.End()
-			return runAnneal(st, o, ev, inc)
+			return runAnneal(st, o, newScorer(ev, st.g.Switches(), o.Symmetry, o.Workers, o.reference))
 		} else if !errors.Is(err, os.ErrNotExist) {
 			return nil, Result{}, fmt.Errorf("opt: resume: %w", err)
 		}
 	}
 
 	applyDefaults(&o)
+	// One scorer serves the temperature calibration and the loop, so a
+	// cache's rows are allocated once.
+	sc := newScorer(ev, start.Switches(), o.Symmetry, o.Workers, o.reference)
 	sp := o.Span.Child("anneal.init")
-	st, err := newAnnealState(start, &o, ev, inc)
+	st, err := newAnnealState(start, &o, sc)
 	if err != nil {
 		sp.Fail(err)
 		return nil, Result{}, err
 	}
 	sp.End()
-	return runAnneal(st, o, ev, inc)
+	return runAnneal(st, o, sc)
 }
 
 // newAnnealState builds the iteration-zero state: evaluates the start
 // graph, calibrates the temperature bounds, and seeds the RNG. It mutates
-// o, resolving InitialTemp/FinalTemp to their effective values. inc is the
-// run's incremental evaluator (nil in exact mode).
-func newAnnealState(start *hsgraph.Graph, o *Options, ev *hsgraph.Evaluator, inc *hsgraph.IncrementalEvaluator) (*annealState, error) {
+// o, resolving InitialTemp/FinalTemp to their effective values. sc is the
+// run's scorer.
+func newAnnealState(start *hsgraph.Graph, o *Options, sc *scorer) (*annealState, error) {
 	st := &annealState{rnd: rng.New(o.Seed)}
 	st.g = start.Clone()
-	cur := ev.Evaluate(st.g)
+	cur := sc.ev.Evaluate(st.g)
 	if !cur.Connected {
 		return nil, hsgraph.ErrNotConnected
 	}
@@ -355,7 +327,7 @@ func newAnnealState(start *hsgraph.Graph, o *Options, ev *hsgraph.Evaluator, inc
 		o.InitialTemp, o.FinalTemp = hillClimbTemp, hillClimbTemp
 	}
 	if o.InitialTemp == 0 {
-		o.InitialTemp = calibrateTemp(st.g, o.Moves, o.Symmetry, st.rnd.Split(), ev, inc)
+		o.InitialTemp = calibrateTemp(st.g, o.Moves, o.Symmetry, st.rnd.Split(), sc)
 	}
 	if o.FinalTemp == 0 {
 		o.FinalTemp = o.InitialTemp / 200
@@ -371,48 +343,33 @@ func newAnnealState(start *hsgraph.Graph, o *Options, ev *hsgraph.Evaluator, inc
 
 // runAnneal drives the annealing loop from st (iteration st.iter) to
 // o.Iterations. o must be fully resolved (validateOptions applied, temps
-// concrete); inc is the run's incremental evaluator (nil in exact mode).
-func runAnneal(st *annealState, o Options, ev *hsgraph.Evaluator, inc *hsgraph.IncrementalEvaluator) (*hsgraph.Graph, Result, error) {
+// concrete); sc is the run's scorer.
+func runAnneal(st *annealState, o Options, sc *scorer) (*hsgraph.Graph, Result, error) {
 	res := &st.res
 	cool := math.Pow(o.FinalTemp/o.InitialTemp, 1/math.Max(1, float64(o.Iterations-1)))
 	linStep := (o.InitialTemp - o.FinalTemp) / math.Max(1, float64(o.Iterations-1))
 
-	// decide judges the current (mutated) graph against st.energy at
-	// st.temp. Exact mode pays a full sweep per candidate; the cache-backed
-	// modes repair the rows the candidate changes. All modes compute the
-	// same integer energy and consume st.rnd identically (one draw per
-	// connected uphill candidate), so the accepted-move sequence is
-	// seed-determined, not mode-determined.
-	st.tel.inc = inc
+	st.tel.inc = sc.inc
 
 	// The loop span brackets the iteration range this call actually runs
 	// (a resumed run starts past zero); checkpoint writes open children so
 	// a trace shows where durability time went.
 	loop := o.Span.Child("anneal.loop")
 	loop.SetF("start-iter", float64(st.iter))
+	// decide judges the current (mutated) graph against st.energy at
+	// st.temp. Every path computes the same integer energy and consumes
+	// st.rnd identically (one draw per connected uphill candidate), so
+	// the accepted-move sequence is seed-determined, not path-determined.
 	decide := func() (int64, bool) {
-		if inc != nil {
-			// Peek the exact candidate energy without committing rows;
-			// only accepted candidates pay the cache update, so rejected
-			// ones roll back for free.
-			e, connected, ok := inc.PeekEnergy(st.g)
-			if !ok {
-				e, connected = inc.Energy(st.g)
-			}
-			if !connected {
-				e = math.MaxInt64
-			}
-			accepted := acceptExact(e, st.energy, st.temp, st.rnd)
-			if accepted {
-				inc.Energy(st.g)
-			}
-			return e, accepted
-		}
-		e, connected := ev.Energy(st.g)
+		e, connected := sc.peek(st.g)
 		if !connected {
 			e = math.MaxInt64
 		}
-		return e, acceptExact(e, st.energy, st.temp, st.rnd)
+		accepted := acceptExact(e, st.energy, st.temp, st.rnd)
+		if accepted {
+			sc.commit(st.g)
+		}
+		return e, accepted
 	}
 
 	for iter := st.iter; iter < o.Iterations; iter++ {
@@ -502,22 +459,22 @@ func runAnneal(st *annealState, o Options, ev *hsgraph.Evaluator, inc *hsgraph.I
 		}
 		if interrupted && st.iter < o.Iterations {
 			res.Iterations = st.iter
-			res.Eval = evalStats(inc)
+			res.Eval = evalStats(sc.inc)
 			loop.SetF("iter", float64(st.iter))
 			loop.SetS("outcome", "interrupted")
 			loop.End()
-			res.Best = ev.Evaluate(st.best)
+			res.Best = sc.ev.Evaluate(st.best)
 			return st.best, *res, ckpt.ErrInterrupted
 		}
 	}
 	res.Iterations = o.Iterations
-	res.Eval = evalStats(inc)
+	res.Eval = evalStats(sc.inc)
 	st.tel.finish(&o, res)
 	loop.SetF("iter", float64(st.iter))
 	loop.SetS("outcome", "done")
 	loop.End()
 	fsp := o.Span.Child("anneal.final-eval")
-	res.Best = ev.Evaluate(st.best)
+	res.Best = sc.ev.Evaluate(st.best)
 	fsp.End()
 	return st.best, *res, nil
 }
@@ -538,7 +495,7 @@ type telemetry struct {
 	stride   int // energy-trace decimation stride, in ReportEvery units
 	interval int // aligned intervals seen so far
 	buf      []float64
-	// inc, when the run evaluates through the incremental cache, lets
+	// inc, when the run scores through the incremental cache, lets
 	// samples carry its counters (EvalStats). Not part of the checkpointed
 	// state: a resumed run restarts the counters, which only affects
 	// observer samples, never the Result.
@@ -620,26 +577,16 @@ const hillClimbTemp = 1e-9
 
 // calibrateTemp estimates a starting temperature as the mean |delta| of a
 // sample of random moves, the classic rule of thumb that yields a high
-// initial acceptance rate. Works on a scratch clone, evaluated through
-// the run's own mode: inc when the run has one (the first call attaches
-// it, and every sample is a peek whose rollback is free), else ev. Both
-// give the same integers, so the temperature does not depend on the mode.
-// Symmetric runs sample symmetric moves: their deltas are ~sym× a
-// single-image move's, and the temperature must match the scale of the
-// moves the loop will actually propose.
-func calibrateTemp(g *hsgraph.Graph, moves MoveSet, sym int, rnd *rng.Rand, ev *hsgraph.Evaluator, inc *hsgraph.IncrementalEvaluator) float64 {
+// initial acceptance rate. Works on a scratch clone, scored by the run's
+// own scorer: on the cache path the first peek attaches the cache to the
+// clone, and every sample's rollback is free. Every path gives the same
+// integers, so the temperature does not depend on the path. Symmetric
+// runs sample symmetric moves: their deltas are ~sym× a single-image
+// move's, and the temperature must match the scale of the moves the loop
+// will actually propose.
+func calibrateTemp(g *hsgraph.Graph, moves MoveSet, sym int, rnd *rng.Rand, sc *scorer) float64 {
 	scratch := g.Clone()
-	energy := ev.Energy
-	if inc != nil {
-		energy = func(g *hsgraph.Graph) (int64, bool) {
-			e, connected, ok := inc.PeekEnergy(g)
-			if !ok {
-				return inc.Energy(g)
-			}
-			return e, connected
-		}
-	}
-	base, _ := energy(scratch)
+	base, _ := sc.peek(scratch)
 	var sum float64
 	count := 0
 	for i := 0; i < 40; i++ {
@@ -658,7 +605,7 @@ func calibrateTemp(g *hsgraph.Graph, moves MoveSet, sym int, rnd *rng.Rand, ev *
 		if !ok {
 			continue
 		}
-		if e, connected := energy(scratch); connected {
+		if e, connected := sc.peek(scratch); connected {
 			sum += math.Abs(float64(e - base))
 			count++
 		}

@@ -17,9 +17,10 @@ const annealKind = "orp.anneal.v3"
 
 // What v3 kept of the retired sampled mode, so the layout is unchanged:
 // its stored evaluation mode, and the length of the field that held its
-// estimator RNG state (written as zeros, skipped on read). Every mode
-// computes the same energies, so such a snapshot resumes under whichever
-// mode the caller asks for.
+// estimator RNG state (written as zeros, skipped on read). The stored
+// mode selects nothing any more (new snapshots write 0): every path
+// computes the same energies, so a snapshot carrying any of the four
+// modes resumes on the path the graph's size picks.
 const (
 	evalRetiredLadder     EvalMode = 2
 	retiredEstimatorWords          = 4
@@ -81,7 +82,7 @@ func writeAnnealCheckpoint(path string, st *annealState, o *Options) error {
 	e.Bool(o.TraceEnergy)
 	e.Int(o.EnergyTraceMax)
 	e.Int(o.restart)
-	e.Int(int(o.Eval))
+	e.Int(int(EvalExact)) // the retired mode word; every path scores alike
 	// Symmetry is stored normalized (1 = generic): it selects the move
 	// operators, so it is as stream-defining as the move set itself.
 	sym := o.Symmetry

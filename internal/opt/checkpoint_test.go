@@ -46,7 +46,7 @@ func graphBytes(t *testing.T, g *hsgraph.Graph) []byte {
 // requireIdentical asserts the headline invariant: same serialized best
 // graph, same Result down to the last field (energy trace included).
 // Result.Eval is diagnostics, not part of the determinism contract — the
-// counters depend on the evaluation mode and restart on resume — so it is
+// counters depend on the evaluation path and restart on resume — so it is
 // zeroed before comparing.
 func requireIdentical(t *testing.T, wantG, gotG *hsgraph.Graph, wantRes, gotRes Result) {
 	t.Helper()

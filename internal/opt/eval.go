@@ -1,62 +1,74 @@
 package opt
 
 import (
-	"fmt"
 	"math"
 
+	"repro/internal/hsgraph"
 	"repro/internal/rng"
 )
 
-// EvalMode selects how the annealer evaluates candidate moves. Every mode
-// computes the exact candidate energy, bit for bit, so every mode produces
-// the same accepted-move sequence and the same final graphs for a given
-// seed; they differ only in how much work a decision costs.
+// EvalMode names the evaluation modes callers once chose between. The
+// annealer now picks its evaluator from the graph's size (see scorer), and
+// every path computes the same energies bit for bit, so a mode selects
+// nothing. The names remain because callers still spell them and
+// orp.anneal.v3 snapshots store the value: new snapshots write 0, and 2
+// belonged to the retired sampled mode (see evalRetiredLadder).
 type EvalMode int
 
-// The numeric values are stored in orp.anneal.v3 checkpoints; 2 belonged
-// to the retired sampled mode (see evalRetiredLadder).
+// Deprecated: the evaluation modes select nothing; see EvalMode.
 const (
-	// EvalExact evaluates every candidate with the full sharded sweep
-	// (hsgraph.Evaluator). The reference mode; the default.
-	EvalExact EvalMode = 0
-	// EvalIncremental evaluates every candidate exactly, but through the
-	// distance-row cache (hsgraph.IncrementalEvaluator): only the rows a
-	// move can change are repaired. Energies are bit-identical to
-	// EvalExact, so decisions trivially agree.
+	EvalExact       EvalMode = 0
 	EvalIncremental EvalMode = 1
-	// EvalSymmetric evaluates through the orbit-quotient incremental
-	// cache (hsgraph.NewOrbitIncrementalEvaluator): only orbit-
-	// representative rows are cached and repaired, ~Symmetry× fewer
-	// than EvalIncremental, with the fold scaled by the orbit size for
-	// bit-identical energies. Requires Options.Symmetry >= 2 and a start
-	// graph closed under the group action; the symmetric move operators
-	// (enabled by Options.Symmetry with any mode) keep it closed.
-	EvalSymmetric EvalMode = 3
+	EvalSymmetric   EvalMode = 3
 )
 
-func (e EvalMode) String() string {
-	switch e {
-	case EvalExact:
-		return "exact"
-	case EvalIncremental:
-		return "incremental"
-	case EvalSymmetric:
-		return "symmetric"
-	}
-	return fmt.Sprintf("EvalMode(%d)", int(e))
+// scorer computes one run's candidate energies on the path
+// hsgraph.PreferIncremental picks from the graph's size and symmetry: the
+// incremental cache, with orbit-representative rows under symmetry, where
+// it pays and fits; the sharded Evaluator everywhere else. Every path
+// returns the same integers bit for bit, so the accepted-move sequence
+// does not depend on the path.
+type scorer struct {
+	ev        *hsgraph.Evaluator
+	inc       *hsgraph.IncrementalEvaluator // nil on the exact path
+	reference bool                          // tests only: energies from EvaluateSlow
 }
 
-// ParseEvalMode parses the CLI spelling of an evaluation mode.
-func ParseEvalMode(s string) (EvalMode, error) {
-	switch s {
-	case "exact", "":
-		return EvalExact, nil
-	case "incremental":
-		return EvalIncremental, nil
-	case "symmetric":
-		return EvalSymmetric, nil
+// newScorer picks the path for a graph of m switches under symmetry order
+// sym (values below 2 mean none). ev serves the exact path.
+func newScorer(ev *hsgraph.Evaluator, m, sym, workers int, reference bool) *scorer {
+	sc := &scorer{ev: ev, reference: reference}
+	if !reference && hsgraph.PreferIncremental(m, sym) {
+		sc.inc = hsgraph.NewOrbitIncrementalEvaluator(max(workers, 1), sym)
 	}
-	return 0, fmt.Errorf("opt: unknown evaluation mode %q (want exact, incremental or symmetric)", s)
+	return sc
+}
+
+// peek returns g's energy, or (0, false) when g is disconnected, without
+// committing g to the cache: rejecting the candidate and undoing the move
+// costs the cache nothing. The first call on a graph attaches the cache.
+func (sc *scorer) peek(g *hsgraph.Graph) (int64, bool) {
+	switch {
+	case sc.reference:
+		met := g.EvaluateSlow()
+		if !met.Connected {
+			return 0, false
+		}
+		return met.TotalPath, true
+	case sc.inc == nil:
+		return sc.ev.Energy(g)
+	}
+	if e, connected, ok := sc.inc.PeekEnergy(g); ok {
+		return e, connected
+	}
+	return sc.inc.Energy(g)
+}
+
+// commit makes g, the candidate peeked last, the cache's committed state.
+func (sc *scorer) commit(g *hsgraph.Graph) {
+	if sc.inc != nil {
+		sc.inc.Energy(g)
+	}
 }
 
 // acceptExact is the Metropolis rule: accept downhill moves outright,

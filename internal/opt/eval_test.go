@@ -3,6 +3,7 @@ package opt
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,7 +12,28 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/hsgraph"
+	"repro/internal/topo"
 )
+
+// pathStart returns a start graph on one side of hsgraph.PreferIncremental's
+// threshold (m = 64): m=12 anneals on the exact path, m=72 on the
+// incremental cache (orbit rows when sym >= 2). Both sizes divide by 2, 3
+// and 4.
+func pathStart(t *testing.T, large bool, sym int, seed uint64) *hsgraph.Graph {
+	t.Helper()
+	n, m := 48, 12
+	if large {
+		n, m = 288, 72
+	}
+	if sym < 2 {
+		return randomGraph(t, n, m, 8, seed)
+	}
+	g, err := topo.RandomSymmetric(n, m, 8, sym, seed)
+	if err != nil {
+		t.Fatalf("RandomSymmetric(%d, %d, 8, %d): %v", n, m, sym, err)
+	}
+	return g
+}
 
 // progressPoint is one OnProgress observation: with ReportEvery=1 the
 // sequence of points is the full accepted-move trajectory of a run.
@@ -20,88 +42,201 @@ type progressPoint struct {
 	current, best int64
 }
 
-// runWithTrajectory anneals with ReportEvery=1 and returns the serialized
-// best graph, the Result and every (iter, current, best) point.
-func runWithTrajectory(t *testing.T, o Options, seed uint64) ([]byte, Result, []progressPoint) {
+// annealRun is what a run must reproduce of the reference: the serialized
+// best graph, the Result and the trajectory.
+type annealRun struct {
+	g    []byte
+	res  Result
+	traj []progressPoint
+}
+
+// trajectory anneals start with ReportEvery=1 and records the run.
+func trajectory(t *testing.T, start *hsgraph.Graph, o Options) annealRun {
 	t.Helper()
-	start := randomGraph(t, 48, 12, 8, 5)
-	var traj []progressPoint
-	o.Seed = seed
+	var r annealRun
 	o.ReportEvery = 1
 	o.OnProgress = func(iter int, current, best int64) {
-		traj = append(traj, progressPoint{iter, current, best})
+		r.traj = append(r.traj, progressPoint{iter, current, best})
 	}
-	g, res, err := Anneal(start, o)
+	g, res, err := Anneal(start.Clone(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return graphBytes(t, g), res, traj
+	r.g, r.res = graphBytes(t, g), res
+	return r
 }
 
-// TestEvalModesProduceIdenticalRuns is the evaluation modes' headline
-// property: for the same seed, exact and incremental evaluation produce
-// the identical accepted-move sequence (same current/best energy after
-// every iteration), the identical Result (move counters included) and the
-// identical final best graph, across move sets, schedules and worker
-// counts.
-func TestEvalModesProduceIdenticalRuns(t *testing.T) {
+// referenceRun is trajectory with every candidate scored by EvaluateSlow.
+func referenceRun(t *testing.T, start *hsgraph.Graph, o Options) annealRun {
+	t.Helper()
+	o.reference = true
+	return trajectory(t, start, o)
+}
+
+// requireMatchesReference checks got against the reference run, and that
+// got took the path its size calls for: the cache reports work exactly
+// when the start is above the threshold.
+func requireMatchesReference(t *testing.T, ctx string, large bool, want, got annealRun) {
+	t.Helper()
+	if cached := got.res.Eval != (EvalStats{}); cached != large {
+		t.Fatalf("%s: cache path %v, want %v", ctx, cached, large)
+	}
+	if !bytes.Equal(want.g, got.g) {
+		t.Fatalf("%s: best graph differs from the reference anneal's", ctx)
+	}
+	got.res.Eval = EvalStats{}
+	if !reflect.DeepEqual(want.res, got.res) {
+		t.Fatalf("%s: results differ:\nreference %+v\ngot       %+v", ctx, want.res, got.res)
+	}
+	for i := range want.traj {
+		if i < len(got.traj) && want.traj[i] != got.traj[i] {
+			t.Fatalf("%s: trajectories fork at iteration %d: reference %+v, got %+v", ctx, want.traj[i].iter, want.traj[i], got.traj[i])
+		}
+	}
+	if len(want.traj) != len(got.traj) {
+		t.Fatalf("%s: trajectory lengths differ: %d vs %d", ctx, len(want.traj), len(got.traj))
+	}
+}
+
+// TestAnnealMatchesReference is the evaluation paths' headline property:
+// for a seed, the annealer on either side of the size threshold
+// reproduces the reference anneal, whose candidate energies come from
+// EvaluateSlow — the same accepted-move sequence (current and best energy
+// after every iteration), the same Result and the same best graph, for
+// every move set and schedule at 1 and 3 workers.
+func TestAnnealMatchesReference(t *testing.T) {
 	cases := []struct {
 		name  string
 		moves MoveSet
 		sched Schedule
-		iters int
 		seeds []uint64
 	}{
-		{"2ns-geometric", TwoNeighborSwing, Geometric, 400, []uint64{7, 19}},
-		{"swap-geometric", SwapOnly, Geometric, 400, []uint64{7}},
-		{"swing-geometric", SwingOnly, Geometric, 400, []uint64{7}},
-		{"2ns-linear", TwoNeighborSwing, Linear, 300, []uint64{3}},
-		{"2ns-hillclimb", TwoNeighborSwing, HillClimb, 300, []uint64{3}},
+		{"2ns-geometric", TwoNeighborSwing, Geometric, []uint64{7, 19}},
+		{"swap-geometric", SwapOnly, Geometric, []uint64{7}},
+		{"swing-geometric", SwingOnly, Geometric, []uint64{7}},
+		{"2ns-linear", TwoNeighborSwing, Linear, []uint64{3}},
+		{"2ns-hillclimb", TwoNeighborSwing, HillClimb, []uint64{3}},
 	}
 	if testing.Short() {
 		cases = cases[:2]
 	}
-	for _, tc := range cases {
-		for _, seed := range tc.seeds {
-			base := Options{Iterations: tc.iters, Moves: tc.moves, Schedule: tc.sched}
-			exactO := base
-			exactO.Eval = EvalExact
-			wantG, wantRes, wantTraj := runWithTrajectory(t, exactO, seed)
-			for _, workers := range []int{1, 3} {
-				o := base
-				o.Eval = EvalIncremental
-				o.Workers = workers
-				gotG, gotRes, gotTraj := runWithTrajectory(t, o, seed)
-				if !bytes.Equal(wantG, gotG) {
-					t.Fatalf("%s seed=%d workers=%d: best graphs differ from exact mode", tc.name, seed, workers)
-				}
-				gotRes.Eval = EvalStats{} // diagnostics differ by mode by design
-				if !reflect.DeepEqual(wantRes, gotRes) {
-					t.Fatalf("%s seed=%d workers=%d: results differ:\nexact %+v\ngot   %+v", tc.name, seed, workers, wantRes, gotRes)
-				}
-				if !reflect.DeepEqual(wantTraj, gotTraj) {
-					for i := range wantTraj {
-						if i < len(gotTraj) && wantTraj[i] != gotTraj[i] {
-							t.Fatalf("%s seed=%d workers=%d: trajectories fork at iteration %d: exact %+v, got %+v",
-								tc.name, seed, workers, wantTraj[i].iter, wantTraj[i], gotTraj[i])
-						}
-					}
-					t.Fatalf("%s seed=%d workers=%d: trajectory lengths differ: %d vs %d", tc.name, seed, workers, len(wantTraj), len(gotTraj))
+	for _, large := range []bool{false, true} {
+		start := pathStart(t, large, 1, 5)
+		for _, tc := range cases {
+			for _, seed := range tc.seeds {
+				o := Options{Iterations: 300, Moves: tc.moves, Schedule: tc.sched, Seed: seed}
+				want := referenceRun(t, start, o)
+				for _, workers := range []int{1, 3} {
+					o.Workers = workers
+					ctx := fmt.Sprintf("%s large=%v seed=%d workers=%d", tc.name, large, seed, workers)
+					requireMatchesReference(t, ctx, large, want, trajectory(t, start, o))
 				}
 			}
 		}
 	}
 }
 
-// killAndResume runs ckptBaseOptions under killEval with killWorkers,
-// interrupts it after iteration killAt, and resumes the snapshot under
-// resumeEval with resumeWorkers.
-func killAndResume(t *testing.T, start *hsgraph.Graph, killEval, resumeEval EvalMode, killAt, killWorkers, resumeWorkers int) (*hsgraph.Graph, Result) {
+// TestSymmetricAnnealMatchesReference extends the headline property to
+// symmetric runs: with Options.Symmetry set, the exact path below the
+// threshold and the orbit-row cache above it reproduce the reference
+// anneal at 1 and 3 workers, and the search stays in the symmetric
+// subspace.
+func TestSymmetricAnnealMatchesReference(t *testing.T) {
+	cases := []struct {
+		name  string
+		sym   int
+		moves MoveSet
+	}{
+		{"2ns-sym4", 4, TwoNeighborSwing},
+		{"swap-sym4", 4, SwapOnly},
+		{"swing-sym4", 4, SwingOnly},
+		{"2ns-sym3", 3, TwoNeighborSwing},
+		{"2ns-sym2", 2, TwoNeighborSwing},
+	}
+	if testing.Short() {
+		cases = cases[:2]
+	}
+	for _, large := range []bool{false, true} {
+		for _, tc := range cases {
+			start := pathStart(t, large, tc.sym, 5)
+			o := Options{Iterations: 300, Moves: tc.moves, Symmetry: tc.sym, Seed: 7}
+			want := referenceRun(t, start, o)
+			for _, workers := range []int{1, 3} {
+				o.Workers = workers
+				ctx := fmt.Sprintf("%s large=%v workers=%d", tc.name, large, workers)
+				requireMatchesReference(t, ctx, large, want, trajectory(t, start, o))
+			}
+			g, err := hsgraph.Read(bytes.NewReader(want.g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := hsgraph.VerifySymmetric(g, tc.sym); err != nil {
+				t.Fatalf("%s: best graph left the symmetric subspace: %v", tc.name, err)
+			}
+		}
+	}
+}
+
+// TestCalibratedTempMatchesReference: calibration scores its sample moves
+// through the run's own scorer, so every path must calibrate the
+// reference anneal's InitialTemp for a seed, bit for bit, on generic and
+// symmetric starts on both sides of the threshold and for every move set.
+func TestCalibratedTempMatchesReference(t *testing.T) {
+	seeds := uint64(4)
+	if testing.Short() {
+		seeds = 2
+	}
+	for seed := uint64(1); seed <= seeds; seed++ {
+		for _, large := range []bool{false, true} {
+			for _, sym := range []int{0, 2, 3, 4} {
+				start := pathStart(t, large, sym, seed)
+				for _, moves := range []MoveSet{TwoNeighborSwing, SwapOnly, SwingOnly} {
+					o := Options{Iterations: 1, Moves: moves, Symmetry: sym, Seed: seed, Workers: 2}
+					var temps [2]float64
+					for i, reference := range []bool{true, false} {
+						o.reference = reference
+						_, res, err := Anneal(start, o)
+						if err != nil {
+							t.Fatal(err)
+						}
+						temps[i] = res.InitialTemp
+					}
+					if temps[0] != temps[1] {
+						t.Fatalf("seed %d large %v sym %d %v: calibrated InitialTemp %v, reference %v", seed, large, sym, moves, temps[1], temps[0])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestParallelAnnealMatchesReference: the restart tournament picks the
+// reference's winner on both sides of the threshold.
+func TestParallelAnnealMatchesReference(t *testing.T) {
+	for _, large := range []bool{false, true} {
+		start := pathStart(t, large, 1, 5)
+		o := Options{Iterations: 200, Seed: 21}
+		ro := o
+		ro.reference = true
+		wantG, wantRes, err := ParallelAnneal(start, ro, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, res, err := ParallelAnneal(start, o, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, wantG, g, wantRes, res)
+	}
+}
+
+// killAndResume runs o, interrupts it after iteration killAt on
+// killWorkers, and resumes the snapshot on resumeWorkers.
+func killAndResume(t *testing.T, start *hsgraph.Graph, o Options, killAt, killWorkers, resumeWorkers int) (*hsgraph.Graph, Result) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "anneal.ckpt")
 	var stop atomic.Bool
-	ko := ckptBaseOptions()
-	ko.Eval = killEval
+	ko := o
 	ko.CheckpointPath = path
 	ko.CheckpointEvery = 100
 	ko.Interrupt = &stop
@@ -111,34 +246,60 @@ func killAndResume(t *testing.T, start *hsgraph.Graph, killEval, resumeEval Eval
 			stop.Store(true)
 		}
 	}
-	if _, _, err := Anneal(start, ko); !errors.Is(err, ckpt.ErrInterrupted) {
-		t.Fatalf("%v killAt=%d: want ErrInterrupted, got %v", killEval, killAt, err)
+	if _, _, err := Anneal(start.Clone(), ko); !errors.Is(err, ckpt.ErrInterrupted) {
+		t.Fatalf("killAt=%d: want ErrInterrupted, got %v", killAt, err)
 	}
-	ro := ckptBaseOptions()
-	ro.Eval = resumeEval
+	ro := o
 	ro.CheckpointPath = path
 	ro.Resume = true
 	ro.Workers = resumeWorkers
-	g, res, err := Anneal(start, ro)
+	g, res, err := Anneal(start.Clone(), ro)
 	if err != nil {
-		t.Fatalf("%v killAt=%d: resume under %v: %v", killEval, killAt, resumeEval, err)
+		t.Fatalf("killAt=%d: resume: %v", killAt, err)
 	}
 	return g, res
 }
 
-// TestIncrementalKillResume: an incremental-mode run interrupted at an
-// arbitrary iteration and resumed from its snapshot — including with a
-// different worker count — is bit-identical to the uninterrupted
-// incremental run (and hence to the exact run, by
-// TestEvalModesProduceIdenticalRuns). The resumed half re-attaches the
-// cache to the restored graph.
+// TestResumeMatchesReference: a run killed mid-way and resumed from its
+// snapshot, on a different worker count, reproduces the uninterrupted
+// reference anneal on both sides of the threshold, generic and symmetric.
+func TestResumeMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		large                              bool
+		sym                                int
+		killAt, killWorkers, resumeWorkers int
+	}{
+		{false, 0, 211, 1, 2},
+		{true, 0, 463, 2, 1},
+		{true, 4, 317, 1, 3},
+	} {
+		start := pathStart(t, tc.large, tc.sym, 5)
+		o := ckptBaseOptions()
+		o.Symmetry = tc.sym
+		ro := o
+		ro.reference = true
+		wantG, wantRes, err := Anneal(start.Clone(), ro)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotG, gotRes := killAndResume(t, start, o, tc.killAt, tc.killWorkers, tc.resumeWorkers)
+		requireIdentical(t, wantG, gotG, wantRes, gotRes)
+	}
+}
+
+// TestIncrementalKillResume: a cache-path run interrupted at an arbitrary
+// iteration and resumed from its snapshot — including with a different
+// worker count — is bit-identical to the uninterrupted run. The resumed
+// half re-attaches the cache to the restored graph.
 func TestIncrementalKillResume(t *testing.T) {
-	start := randomGraph(t, 48, 12, 8, 5)
+	start := pathStart(t, true, 1, 5)
 	o := ckptBaseOptions()
-	o.Eval = EvalIncremental
-	wantG, wantRes, err := Anneal(start, o)
+	wantG, wantRes, err := Anneal(start.Clone(), o)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if wantRes.Eval == (EvalStats{}) {
+		t.Fatal("the start took the exact path; the test needs the cache")
 	}
 	for _, tc := range []struct {
 		killAt, killWorkers, resumeWorkers int
@@ -148,28 +309,7 @@ func TestIncrementalKillResume(t *testing.T) {
 		{517, 3, 1},
 		{799, 2, 2},
 	} {
-		gotG, gotRes := killAndResume(t, start, EvalIncremental, EvalIncremental, tc.killAt, tc.killWorkers, tc.resumeWorkers)
-		requireIdentical(t, wantG, gotG, wantRes, gotRes)
-	}
-}
-
-// TestResumeAcrossEvalModes: the evaluation mode is not part of a
-// snapshot's identity. A run killed in exact mode resumes in incremental
-// mode and vice versa, both bit-identical to the uninterrupted run.
-func TestResumeAcrossEvalModes(t *testing.T) {
-	start := randomGraph(t, 48, 12, 8, 5)
-	wantG, wantRes, err := Anneal(start, ckptBaseOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		kill, resume EvalMode
-		killAt       int
-	}{
-		{EvalExact, EvalIncremental, 211},
-		{EvalIncremental, EvalExact, 463},
-	} {
-		gotG, gotRes := killAndResume(t, start, tc.kill, tc.resume, tc.killAt, 1, 2)
+		gotG, gotRes := killAndResume(t, start, o, tc.killAt, tc.killWorkers, tc.resumeWorkers)
 		requireIdentical(t, wantG, gotG, wantRes, gotRes)
 	}
 }
@@ -181,10 +321,9 @@ func TestResumeAcrossEvalModes(t *testing.T) {
 const ladderFixture = "testdata/ladder-v3-iter317.ckpt"
 
 // TestLadderKillResume: a run of the retired sampled mode, killed
-// mid-run, resumes under both remaining modes bit-identically to the
-// uninterrupted exact run. This pins the unchanged orp.anneal.v3 layout
-// (mode 2 and the estimator words still decode) and the promise that
-// those snapshots resume as exact or incremental runs.
+// mid-run, resumes bit-identically to the uninterrupted reference anneal.
+// This pins the unchanged orp.anneal.v3 layout (mode 2 and the estimator
+// words still decode) and the promise that a stored mode selects nothing.
 func TestLadderKillResume(t *testing.T) {
 	blob, err := os.ReadFile(ladderFixture)
 	if err != nil {
@@ -206,48 +345,23 @@ func TestLadderKillResume(t *testing.T) {
 	}
 
 	start := randomGraph(t, 48, 12, 8, 5)
-	wantG, wantRes, err := Anneal(start, ckptBaseOptions())
+	ref := ckptBaseOptions()
+	ref.reference = true
+	wantG, wantRes, err := Anneal(start, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []EvalMode{EvalIncremental, EvalExact} {
-		// The resumed run rewrites its snapshot, so it gets a copy.
-		path := filepath.Join(t.TempDir(), "ladder.ckpt")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		ro := ckptBaseOptions()
-		ro.Eval = mode
-		ro.CheckpointPath = path
-		ro.Resume = true
-		gotG, gotRes, err := Anneal(start, ro)
-		if err != nil {
-			t.Fatalf("resume under %v: %v", mode, err)
-		}
-		requireIdentical(t, wantG, gotG, wantRes, gotRes)
-	}
-}
-
-// TestParallelAnnealEvalModes: the restart tournament picks the same
-// winner in every evaluation mode.
-func TestParallelAnnealEvalModes(t *testing.T) {
-	start := randomGraph(t, 48, 12, 8, 5)
-	base := Options{Iterations: 300, Seed: 21}
-	exactG, exactRes, err := ParallelAnneal(start, base, 3)
-	if err != nil {
+	// The resumed run rewrites its snapshot, so it gets a copy.
+	path := filepath.Join(t.TempDir(), "ladder.ckpt")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	o := base
-	o.Eval = EvalIncremental
-	g, res, err := ParallelAnneal(start, o, 3)
+	ro := ckptBaseOptions()
+	ro.CheckpointPath = path
+	ro.Resume = true
+	gotG, gotRes, err := Anneal(start, ro)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("resume: %v", err)
 	}
-	if !bytes.Equal(graphBytes(t, exactG), graphBytes(t, g)) {
-		t.Fatal("incremental ParallelAnneal winner differs from exact mode")
-	}
-	res.Eval = EvalStats{} // diagnostics differ by mode by design
-	if !reflect.DeepEqual(exactRes, res) {
-		t.Fatalf("incremental ParallelAnneal results differ:\nexact %+v\ngot   %+v", exactRes, res)
-	}
+	requireIdentical(t, wantG, gotG, wantRes, gotRes)
 }

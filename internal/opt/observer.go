@@ -1,6 +1,9 @@
 package opt
 
-import "repro/internal/hsgraph"
+import (
+	"repro/internal/hsgraph"
+	"repro/internal/obs"
+)
 
 // Anneal telemetry. The annealer samples its state every
 // Options.ReportEvery iterations and hands the sample to a pluggable
@@ -26,15 +29,15 @@ type MoveCounters struct {
 // EvalStats is the evaluation introspection snapshot carried on every
 // AnnealSample. All counters are cumulative over the run (restart-local
 // under ParallelAnneal); consumers diff successive samples for rates.
-// Zero in exact mode, which has no cache to introspect.
+// Zero on the exact path, which has no cache to introspect.
 type EvalStats struct {
 	// Inc is the incremental evaluator's internal decision counters —
 	// commits, full-rebuild fallbacks, peek-stamp reuse, dirty and
-	// swept source totals. Populated in every cache-backed mode.
+	// swept source totals. Populated on the cache path.
 	Inc hsgraph.IncStats
 }
 
-// evalStats snapshots inc's counters; nil (exact mode) reports zeros.
+// evalStats snapshots inc's counters; nil (the exact path) reports zeros.
 func evalStats(inc *hsgraph.IncrementalEvaluator) EvalStats {
 	if inc == nil {
 		return EvalStats{}
@@ -62,8 +65,8 @@ type AnnealSample struct {
 	// sample; Elapsed the wall-clock seconds since the run began.
 	MovesPerSec float64
 	Elapsed     float64
-	// Eval is the incremental cache's introspection snapshot (zero in
-	// exact mode).
+	// Eval is the incremental cache's introspection snapshot (zero on the
+	// exact path).
 	Eval EvalStats
 }
 
@@ -73,6 +76,32 @@ func (s AnnealSample) AcceptRate() float64 {
 		return 0
 	}
 	return float64(s.Accepted) / float64(s.Proposed)
+}
+
+// Event encodes the sample as one anneal.sample event with the field keys
+// obs/schema.go lists, the same set on every path (the cache counters
+// read zero on the exact path). orpsolve's trace files and orpd's job
+// streams both write it.
+func (s AnnealSample) Event() obs.Event {
+	return obs.Event{T: s.Elapsed, Kind: obs.KindAnnealSample, F: map[string]float64{
+		"iter":            float64(s.Iter),
+		"temp":            s.Temp,
+		"current":         float64(s.Current),
+		"best":            float64(s.Best),
+		"accepted":        float64(s.Accepted),
+		"proposed":        float64(s.Proposed),
+		"swapAttempts":    float64(s.Moves.SwapAttempts),
+		"swapAccepts":     float64(s.Moves.SwapAccepts),
+		"swingAttempts":   float64(s.Moves.SwingAttempts),
+		"swingAccepts":    float64(s.Moves.SwingAccepts),
+		"counterAttempts": float64(s.Moves.CounterAttempts),
+		"counterAccepts":  float64(s.Moves.CounterAccepts),
+		"movesPerSec":     s.MovesPerSec,
+		"restart":         float64(s.Restart),
+		"incSyncs":        float64(s.Eval.Inc.Syncs),
+		"incFullRebuilds": float64(s.Eval.Inc.FullRebuilds),
+		"incPeeks":        float64(s.Eval.Inc.Peeks),
+	}}
 }
 
 // Observer receives anneal telemetry. Implementations must be safe for

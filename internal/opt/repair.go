@@ -29,12 +29,9 @@ type RepairOptions struct {
 	// radix budget. Callers repairing a fault.Degraded typically pass
 	// its FailedLinks count.
 	MaxNewLinks int
-	// Eval selects the evaluation mode of the warm-start anneal (see
-	// EvalMode). EvalExact (the default) pays a full sharded sweep per
-	// candidate swap; EvalIncremental repairs only the distance rows the
-	// swap can change, in hsgraph.IncrementalEvaluator — bit-identical
-	// energies, so the repaired graph is identical move for move.
-	Eval EvalMode
+	// reference, set only by tests, scores every candidate with
+	// EvaluateSlow (see Options.reference).
+	reference bool
 }
 
 // RepairResult summarises a repair run.
@@ -59,11 +56,6 @@ type RepairResult struct {
 func Repair(degraded *hsgraph.Graph, down []int32, o RepairOptions) (*hsgraph.Graph, RepairResult, error) {
 	if degraded == nil {
 		return nil, RepairResult{}, fmt.Errorf("opt: nil degraded graph")
-	}
-	switch o.Eval {
-	case EvalExact, EvalIncremental:
-	default:
-		return nil, RepairResult{}, fmt.Errorf("opt: Repair evaluation mode %v not supported (want exact or incremental)", o.Eval)
 	}
 	if o.Iterations == 0 {
 		o.Iterations = 4000
@@ -148,46 +140,26 @@ func Repair(degraded *hsgraph.Graph, down []int32, o RepairOptions) (*hsgraph.Gr
 	// one affected switch; the rest of the (near-optimal) graph is left
 	// alone. Temperature starts low — this is a polish, not a search.
 	//
-	// Candidate energies come from the mode-selected evaluator. The
-	// incremental evaluator returns bit-identical energies to the exact
-	// sharded sweep, so the accept decisions, RNG draw pattern and
-	// repaired graph are identical across modes — only the cost per
-	// candidate changes. Rejected candidates peek without committing
-	// distance rows, so their rollback is free.
-	var inc *hsgraph.IncrementalEvaluator
-	if o.Eval != EvalExact {
-		inc = hsgraph.NewIncrementalEvaluator(o.Workers)
+	// Candidate energies come from the scorer the graph's size picks (see
+	// scorer); every path gives the same integers, so the accept
+	// decisions, the RNG draws and the repaired graph do not depend on it.
+	// The calibration runs first: on the cache path it attaches the cache
+	// to its scratch clone, and the initial energy then moves it to g once.
+	sc := newScorer(ev, m, 1, o.Workers, o.reference)
+	temp := o.InitialTemp
+	if temp == 0 {
+		temp = calibrateTemp(g, SwapOnly, 1, rnd.Split(), sc) / 10
 	}
-	candEnergy := func() (int64, bool) {
-		if inc == nil {
-			return ev.Energy(g)
-		}
-		e, connected, ok := inc.PeekEnergy(g)
-		if !ok {
-			e, connected = inc.Energy(g)
-		}
-		return e, connected
+	if temp <= 0 {
+		temp = 1
 	}
-	var energy int64
-	var connected bool
-	if inc == nil {
-		energy, connected = ev.Energy(g)
-	} else {
-		energy, connected = inc.Energy(g)
-	}
+	energy, connected := sc.peek(g)
 	if !connected {
 		energy = math.MaxInt64
 	}
 	best := g.Clone()
 	bestEnergy := energy
 
-	temp := o.InitialTemp
-	if temp == 0 {
-		temp = calibrateTemp(g, SwapOnly, 1, rnd.Split(), ev, nil) / 10
-	}
-	if temp <= 0 {
-		temp = 1
-	}
 	finalTemp := temp / 50
 	cool := math.Pow(finalTemp/temp, 1/math.Max(1, float64(o.Iterations-1)))
 
@@ -197,7 +169,7 @@ func Repair(degraded *hsgraph.Graph, down []int32, o RepairOptions) (*hsgraph.Gr
 			continue
 		}
 		res.Proposed++
-		cand, connected := candEnergy()
+		cand, connected := sc.peek(g)
 		accept := false
 		if connected {
 			delta := cand - energy
@@ -210,9 +182,7 @@ func Repair(degraded *hsgraph.Graph, down []int32, o RepairOptions) (*hsgraph.Gr
 			}
 		}
 		if accept {
-			if inc != nil {
-				inc.Energy(g) // commit the peeked state into the cache
-			}
+			sc.commit(g)
 			energy = cand
 			res.Accepted++
 			if energy < bestEnergy {

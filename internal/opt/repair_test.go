@@ -100,40 +100,45 @@ func TestRepairSwitchFailure(t *testing.T) {
 	}
 }
 
-// TestRepairEvalModesBitIdentical is the differential contract for
-// RepairOptions.Eval: the incremental evaluator returns bit-identical
-// energies to the exact sharded sweep, so every accept decision, RNG
-// draw, and therefore the repaired graph itself must match move for
-// move.
-func TestRepairEvalModesBitIdentical(t *testing.T) {
-	_, d := degrade(t, 0.08)
-	base := RepairOptions{Iterations: 800, Seed: 21, MaxNewLinks: d.FailedLinks}
-
-	exact, rExact, err := Repair(d.Graph, nil, base)
+// TestRepairMatchesReference: Repair's warm-start anneal, on the exact
+// path below the size threshold (m=32) and on the incremental cache above
+// it (m=80), reproduces the reference anneal whose candidate energies
+// come from EvaluateSlow — every accept decision and RNG draw, and
+// therefore the result and the repaired graph itself, move for move.
+func TestRepairMatchesReference(t *testing.T) {
+	large, err := hsgraph.RandomConnected(320, 80, 10, rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := base
-	o.Eval = EvalIncremental
-	g, r, err := Repair(d.Graph, nil, o)
+	sc, err := fault.Sample(large, fault.UniformLinks, 0.08, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r != rExact {
-		t.Fatalf("incremental result diverged from exact: %+v vs %+v", r, rExact)
+	dl, err := fault.Apply(large, sc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if g.Fingerprint() != exact.Fingerprint() {
-		t.Fatal("incremental repaired graph diverged from exact")
-	}
-}
-
-// TestRepairRejectsUnknownEvalMode pins input validation: Repair runs
-// exact and incremental only (the retired sampled mode 2 included).
-func TestRepairRejectsUnknownEvalMode(t *testing.T) {
-	_, d := degrade(t, 0.02)
-	for _, mode := range []EvalMode{EvalMode(2), EvalSymmetric, EvalMode(99)} {
-		if _, _, err := Repair(d.Graph, nil, RepairOptions{Eval: mode}); err == nil {
-			t.Fatalf("Repair accepted eval mode %v", mode)
+	_, ds := degrade(t, 0.08)
+	for _, d := range []*fault.Degraded{ds, dl} {
+		o := RepairOptions{Iterations: 600, Seed: 21, MaxNewLinks: d.FailedLinks}
+		ro := o
+		ro.reference = true
+		want, wantRes, err := Repair(d.Graph, nil, ro)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			o.Workers = workers
+			g, res, err := Repair(d.Graph, nil, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res != wantRes {
+				t.Fatalf("m=%d workers=%d: result diverged from the reference: %+v vs %+v", d.Graph.Switches(), workers, res, wantRes)
+			}
+			if g.Fingerprint() != want.Fingerprint() {
+				t.Fatalf("m=%d workers=%d: repaired graph diverged from the reference", d.Graph.Switches(), workers)
+			}
 		}
 	}
 }

@@ -149,34 +149,35 @@ func TestSpanPathBoundedAllocs(t *testing.T) {
 	}
 }
 
-// TestSampleCarriesEvalStats: samples of a cache-backed run carry the
-// incremental cache's counters; exact mode carries a zero snapshot.
+// TestSampleCarriesEvalStats is the size rule seen from the annealer:
+// above hsgraph.PreferIncremental's threshold, generic and symmetric runs
+// score through the cache and their samples and Result carry its
+// counters; below it the exact path reports a zero snapshot.
 func TestSampleCarriesEvalStats(t *testing.T) {
-	start := observerStart(t)
-	var inc AnnealSample
-	if _, _, err := Anneal(start, Options{
-		Iterations:  2000,
-		ReportEvery: 500,
-		Seed:        7,
-		Eval:        EvalIncremental,
-		Observer:    ObserverFunc(func(s AnnealSample) { inc = s }),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if c := inc.Eval.Inc; c.Peeks == 0 || c.Syncs == 0 || c.SweptSources == 0 {
-		t.Errorf("incremental mode reported no cache work: %+v", c)
-	}
-
-	var exact AnnealSample
-	if _, _, err := Anneal(start, Options{
-		Iterations:  500,
-		ReportEvery: 500,
-		Seed:        7,
-		Observer:    ObserverFunc(func(s AnnealSample) { exact = s }),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if exact.Eval != (EvalStats{}) {
-		t.Errorf("exact mode leaked eval stats: %+v", exact.Eval)
+	for _, tc := range []struct {
+		large bool
+		sym   int
+	}{{true, 0}, {true, 4}, {false, 0}, {false, 4}} {
+		var last AnnealSample
+		_, res, err := Anneal(pathStart(t, tc.large, tc.sym, 7), Options{
+			Iterations:  1000,
+			ReportEvery: 500,
+			Seed:        7,
+			Symmetry:    tc.sym,
+			Observer:    ObserverFunc(func(s AnnealSample) { last = s }),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last.Eval != res.Eval {
+			t.Errorf("large=%v sym=%d: final sample %+v, Result %+v", tc.large, tc.sym, last.Eval, res.Eval)
+		}
+		c := res.Eval.Inc
+		if tc.large && (c.Peeks == 0 || c.Syncs == 0 || c.SweptSources == 0) {
+			t.Errorf("large=%v sym=%d: the cache path reported no cache work: %+v", tc.large, tc.sym, c)
+		}
+		if !tc.large && res.Eval != (EvalStats{}) {
+			t.Errorf("large=%v sym=%d: the exact path reported cache work: %+v", tc.large, tc.sym, c)
+		}
 	}
 }

@@ -78,6 +78,9 @@ type Record struct {
 	M        int    `json:"m"`
 	R        int    `json:"r"`
 	Symmetry int    `json:"symmetry,omitempty"`
+	// EvalMode is the evaluation mode records written before the
+	// annealer chose its evaluator by size carry; new records leave it
+	// empty.
 	EvalMode string `json:"evalMode,omitempty"`
 	Workers  int    `json:"workers,omitempty"`
 

@@ -83,9 +83,8 @@ type job struct {
 	key  string // content-address of the result
 
 	// Parsed once at submit.
-	graph    *hsgraph.Graph // nil when generated/designed by the job
-	evalMode opt.EvalMode
-	model    fault.Model
+	graph *hsgraph.Graph // nil when generated/designed by the job
+	model fault.Model
 
 	state       string
 	workers     int  // granted demand, 1..budget

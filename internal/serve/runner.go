@@ -67,10 +67,10 @@ func executeEval(j *job) (json.RawMessage, error) {
 	})
 }
 
-// logObserver streams anneal telemetry into the job's event log, with
-// the field keys cliutil.AnnealObserver writes to orpsolve's -trace-out
-// files minus its six move-mix fields, and forwards the incremental
-// cache's counters to the orpd_inc_* instruments.
+// logObserver streams anneal telemetry into the job's event log, encoded
+// by opt.AnnealSample.Event as cliutil.AnnealObserver encodes orpsolve's
+// -trace-out files, and forwards the incremental cache's counters to the
+// orpd_inc_* instruments.
 //
 // The engine's EvalStats are cumulative per restart; the observer keeps
 // the previous snapshot per restart and adds only the delta, so the
@@ -91,22 +91,7 @@ func newLogObserver(log *eventLog, met *metrics) *logObserver {
 }
 
 func (o *logObserver) ObserveAnneal(sm opt.AnnealSample) {
-	f := map[string]float64{
-		"iter":        float64(sm.Iter),
-		"temp":        sm.Temp,
-		"current":     float64(sm.Current),
-		"best":        float64(sm.Best),
-		"accepted":    float64(sm.Accepted),
-		"proposed":    float64(sm.Proposed),
-		"movesPerSec": sm.MovesPerSec,
-		"restart":     float64(sm.Restart),
-	}
-	if ev := sm.Eval; ev != (opt.EvalStats{}) {
-		f["incSyncs"] = float64(ev.Inc.Syncs)
-		f["incFullRebuilds"] = float64(ev.Inc.FullRebuilds)
-		f["incPeeks"] = float64(ev.Inc.Peeks)
-	}
-	o.log.Append(obs.Event{T: sm.Elapsed, Kind: obs.KindAnnealSample, F: f})
+	o.log.Append(sm.Event())
 
 	if o.met == nil {
 		return
@@ -144,7 +129,6 @@ func (s *scheduler) executeAnneal(j *job, intr *atomic.Bool) (json.RawMessage, e
 			Iterations:     j.spec.Iterations,
 			Seed:           j.spec.Seed,
 			Workers:        j.workers,
-			Eval:           j.evalMode,
 			TraceEnergy:    true, // results carry their convergence trace (run-store records reuse it)
 			Observer:       newLogObserver(j.log, s.met),
 			CheckpointPath: j.ckptPath,
@@ -171,7 +155,6 @@ func (s *scheduler) executeAnneal(j *job, intr *atomic.Bool) (json.RawMessage, e
 			Seed:           j.spec.Seed,
 			FixedM:         j.spec.M,
 			Workers:        j.workers,
-			Eval:           j.evalMode,
 			TraceEnergy:    true,
 			Observer:       newLogObserver(j.log, s.met),
 			CheckpointPath: j.ckptPath,

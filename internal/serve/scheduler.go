@@ -104,7 +104,7 @@ func newScheduler(budget int, cache *resultCache, store *runstore.Store, dataDir
 // canonical job identity is already known, and otherwise queues it.
 func (s *scheduler) Submit(spec JobSpec) (JobStatus, error) {
 	accepted := time.Now() // admission span starts at arrival, before parsing
-	g, mode, model, err := spec.normalize()
+	g, model, err := spec.normalize()
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -123,7 +123,6 @@ func (s *scheduler) Submit(spec JobSpec) (JobStatus, error) {
 		spec:      spec,
 		key:       key,
 		graph:     g,
-		evalMode:  mode,
 		model:     model,
 		workers:   clamp(spec.Workers, 1, s.budget),
 		submitted: s.clock(),
@@ -430,7 +429,6 @@ func (s *scheduler) recordRunLocked(j *job) {
 			N:           probe.Graph.Order,
 			M:           probe.Graph.Switches,
 			R:           probe.Graph.Radix,
-			EvalMode:    j.evalMode.String(),
 			Workers:     j.workers,
 			Metrics: runstore.Metrics{
 				HASPL:          probe.Graph.HASPL,

@@ -239,7 +239,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Type: TypeEval, Graph: "garbage"},                     // unparseable
 		{Type: TypeAnneal, N: 48, R: 6, Graph: "x", M: 16},     // both sources
 		{Type: TypeAnneal, N: 48, R: 6, EvalMode: "wrong"},     // bad enum
-		{Type: TypeAnneal, N: 48, R: 6, EvalMode: "symmetric"}, // needs a symmetry order
+		{Type: TypeAnneal, N: 48, R: 6, EvalMode: "symmetric"}, // never an orpd spelling
 		{Type: TypeAnneal, N: 48, R: 6, EvalMode: "ladder"},    // retired sampled mode
 		{Type: TypeSweep, N: 48, M: 16, R: 6, Model: "bad"},    // bad model
 		{Type: TypeSweep, N: 48, M: 16, R: 6, Fractions: []float64{2}},
@@ -256,8 +256,8 @@ func TestSubmitValidation(t *testing.T) {
 		}
 	}
 
-	// Over HTTP a mode orpd cannot run is refused up front with a 400,
-	// not accepted and failed at run time.
+	// Over HTTP a spelling orpd never accepted is refused up front with a
+	// 400, not accepted and failed at run time.
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	body := `{"type":"anneal","n":32,"r":4,"iterations":300,"seed":11,"evalMode":"symmetric"}`
@@ -271,10 +271,9 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestAnnealCacheIgnoresEvalMode: exact and incremental evaluation give
-// the same result bytes, so the evaluation mode is not part of the cache
-// key. A spec that differs only in evalMode is a cache hit, and its bytes
-// equal a cold run of that mode on a fresh server.
+// TestAnnealCacheIgnoresEvalMode: evalMode selects nothing, so it is not
+// part of the cache key. A spec that differs only in evalMode is a cache
+// hit, and its bytes equal a cold run of that spec on a fresh server.
 func TestAnnealCacheIgnoresEvalMode(t *testing.T) {
 	base := JobSpec{Type: TypeAnneal, Graph: graphText(t, 48, 16, 6, 3), Iterations: 1500, Seed: 5}
 	for _, modes := range [][2]string{{"exact", "incremental"}, {"incremental", ""}} {

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/hsgraph"
-	"repro/internal/opt"
 )
 
 // Job types.
@@ -72,7 +71,7 @@ type JobSpec struct {
 	Iterations int    `json:"iterations,omitempty"` // default 50000 (core.Solve's default)
 	Seed       uint64 `json:"seed,omitempty"`
 	Restarts   int    `json:"restarts,omitempty"` // independent SA runs, best wins; default 1
-	EvalMode   string `json:"evalMode,omitempty"` // exact (default) or incremental; not part of the cache key
+	EvalMode   string `json:"evalMode,omitempty"` // ignored: exact or incremental are accepted, but the annealer picks its evaluator from the graph's size
 
 	// Sweep options (TypeSweep).
 	Model     string    `json:"model,omitempty"`     // links|switches|bundles|targeted
@@ -83,36 +82,37 @@ type JobSpec struct {
 // normalize validates the spec and fills defaults, returning the parsed
 // graph (nil when the job generates or designs its own) and parsed
 // enum options.
-func (sp *JobSpec) normalize() (g *hsgraph.Graph, mode opt.EvalMode, model fault.Model, err error) {
+func (sp *JobSpec) normalize() (g *hsgraph.Graph, model fault.Model, err error) {
 	switch sp.Type {
 	case TypeEval, TypeAnneal, TypeSweep:
 	default:
-		return nil, 0, 0, fmt.Errorf("serve: unknown job type %q (want eval, anneal or sweep)", sp.Type)
+		return nil, 0, fmt.Errorf("serve: unknown job type %q (want eval, anneal or sweep)", sp.Type)
 	}
 	if sp.Workers < 0 {
-		return nil, 0, 0, fmt.Errorf("serve: workers must be >= 0, got %d", sp.Workers)
+		return nil, 0, fmt.Errorf("serve: workers must be >= 0, got %d", sp.Workers)
 	}
 	if sp.Graph != "" {
 		if sp.N != 0 || sp.M != 0 || sp.R != 0 || sp.GraphSeed != 0 {
-			return nil, 0, 0, fmt.Errorf("serve: give either an inline graph or n/m/r/graphSeed, not both")
+			return nil, 0, fmt.Errorf("serve: give either an inline graph or n/m/r/graphSeed, not both")
 		}
 		g, err = hsgraph.Read(strings.NewReader(sp.Graph))
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("serve: inline graph: %w", err)
+			return nil, 0, fmt.Errorf("serve: inline graph: %w", err)
 		}
 	} else {
 		if sp.N < 1 || sp.R < 3 {
-			return nil, 0, 0, fmt.Errorf("serve: generated jobs need n >= 1 and r >= 3 (got n=%d r=%d)", sp.N, sp.R)
+			return nil, 0, fmt.Errorf("serve: generated jobs need n >= 1 and r >= 3 (got n=%d r=%d)", sp.N, sp.R)
 		}
 		if sp.Type != TypeAnneal && sp.M < 1 {
-			return nil, 0, 0, fmt.Errorf("serve: %s jobs need a concrete graph: inline text or m >= 1", sp.Type)
+			return nil, 0, fmt.Errorf("serve: %s jobs need a concrete graph: inline text or m >= 1", sp.Type)
 		}
 	}
-	// Symmetric evaluation needs a symmetry order, which JobSpec does not
-	// carry, so only the two generic modes are runnable here.
-	mode, err = opt.ParseEvalMode(sp.EvalMode)
-	if err != nil || mode == opt.EvalSymmetric {
-		return nil, 0, 0, fmt.Errorf("serve: unsupported evalMode %q (want exact or incremental)", sp.EvalMode)
+	// evalMode selects nothing any more; the spellings clients used to
+	// send are still accepted.
+	switch sp.EvalMode {
+	case "", "exact", "incremental":
+	default:
+		return nil, 0, fmt.Errorf("serve: unsupported evalMode %q (want exact or incremental; either selects nothing)", sp.EvalMode)
 	}
 	if sp.Type == TypeSweep {
 		if sp.Model == "" {
@@ -120,21 +120,21 @@ func (sp *JobSpec) normalize() (g *hsgraph.Graph, mode opt.EvalMode, model fault
 		}
 		model, err = fault.ParseModel(sp.Model)
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, 0, err
 		}
 		if len(sp.Fractions) == 0 {
 			sp.Fractions = fault.DefaultFractions()
 		}
 		for _, f := range sp.Fractions {
 			if f < 0 || f > 1 {
-				return nil, 0, 0, fmt.Errorf("serve: fraction %v outside [0,1]", f)
+				return nil, 0, fmt.Errorf("serve: fraction %v outside [0,1]", f)
 			}
 		}
 		if sp.Trials == 0 {
 			sp.Trials = 20
 		}
 		if sp.Trials < 0 {
-			return nil, 0, 0, fmt.Errorf("serve: trials must be > 0, got %d", sp.Trials)
+			return nil, 0, fmt.Errorf("serve: trials must be > 0, got %d", sp.Trials)
 		}
 	}
 	if sp.Type == TypeAnneal {
@@ -142,16 +142,16 @@ func (sp *JobSpec) normalize() (g *hsgraph.Graph, mode opt.EvalMode, model fault
 			sp.Iterations = 50000
 		}
 		if sp.Iterations < 0 {
-			return nil, 0, 0, fmt.Errorf("serve: iterations must be > 0, got %d", sp.Iterations)
+			return nil, 0, fmt.Errorf("serve: iterations must be > 0, got %d", sp.Iterations)
 		}
 		if sp.Restarts == 0 {
 			sp.Restarts = 1
 		}
 		if sp.Restarts < 0 {
-			return nil, 0, 0, fmt.Errorf("serve: restarts must be > 0, got %d", sp.Restarts)
+			return nil, 0, fmt.Errorf("serve: restarts must be > 0, got %d", sp.Restarts)
 		}
 	}
-	return g, mode, model, nil
+	return g, model, nil
 }
 
 // cacheKeyDomain seeds the job-identity hash; bump the suffix whenever a
@@ -168,9 +168,8 @@ const cacheKeyDomain = "orp.serve.job.v3"
 // canonical identity of the query. Every result-defining field goes in —
 // the graph (by canonical fingerprint, so storage order is invisible) or
 // its generation parameters, and the engine options. EvalMode, Workers
-// and Priority stay out: exact and incremental evaluation compute the
-// same energies bit for bit, results are worker-invariant, and
-// scheduling never changes a result.
+// and Priority stay out: EvalMode selects nothing, results are
+// worker-invariant, and scheduling never changes a result.
 func (sp *JobSpec) cacheKey(g *hsgraph.Graph) string {
 	h := sha256.New()
 	w := func(parts ...any) {

@@ -5,10 +5,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cliutil"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -352,8 +357,10 @@ func TestServiceMetricsExposition(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body := `{"type":"anneal","graph":` + jsonString(graphText(t, 48, 16, 6, 3)) +
-		`,"iterations":4000,"seed":5,"evalMode":"incremental"}`
+	// m=72 is above the size threshold, so the anneal scores through the
+	// incremental cache.
+	body := `{"type":"anneal","graph":` + jsonString(graphText(t, 288, 72, 8, 3)) +
+		`,"iterations":4000,"seed":5}`
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +397,7 @@ func TestServiceMetricsExposition(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-	// The incremental run reported at least one sampling interval, so the
+	// The cache-path run reported at least one sampling interval, so the
 	// introspection counters moved.
 	fams, err := obs.ParsePrometheus(strings.NewReader(text))
 	if err != nil {
@@ -432,4 +439,82 @@ func firstMatching(text, substr string) string {
 		}
 	}
 	return "(no line matches " + substr + ")"
+}
+
+// sampleKeys returns the field keys of the anneal.sample events in evs,
+// failing unless every sample carries the same set.
+func sampleKeys(t *testing.T, evs []obs.Event) []string {
+	t.Helper()
+	var keys []string
+	for _, e := range evs {
+		if e.Kind != obs.KindAnnealSample {
+			continue
+		}
+		var k []string
+		for name := range e.F {
+			k = append(k, name)
+		}
+		slices.Sort(k)
+		if keys != nil && !slices.Equal(keys, k) {
+			t.Fatalf("anneal.sample key sets differ within one stream: %v and %v", keys, k)
+		}
+		keys = k
+	}
+	if keys == nil {
+		t.Fatal("no anneal.sample events")
+	}
+	return keys
+}
+
+// TestAnnealSampleFieldsMatchCLI: orpd's job streams and orpsolve's
+// -trace-out files encode anneal samples with one encoder, so the same
+// seed run as an orpd anneal job and through cliutil.AnnealObserver
+// writes anneal.sample events with equal key sets, on the exact path
+// (n=48, m=20) and on the cache path (n=1024, m=195).
+func TestAnnealSampleFieldsMatchCLI(t *testing.T) {
+	s := testServer(t, Config{Workers: 1})
+	for _, spec := range []JobSpec{
+		{Type: TypeAnneal, N: 48, R: 6, Iterations: 2000, Seed: 5},
+		{Type: TypeAnneal, N: 1024, R: 15, Iterations: 1000, Seed: 5},
+	} {
+		st, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st = waitDone(t, s, st.ID); st.State != StateDone {
+			t.Fatalf("n=%d: anneal failed: %q", spec.N, st.Error)
+		}
+		log, ok := s.sched.Events(st.ID)
+		if !ok {
+			t.Fatalf("no event log for %s", st.ID)
+		}
+		orpd := sampleKeys(t, log.Snapshot())
+
+		path := filepath.Join(t.TempDir(), "trace.jsonl")
+		sink, err := cliutil.OpenSink(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.Solve(spec.N, spec.R, core.Options{
+			Iterations: spec.Iterations, Seed: spec.Seed, Workers: 1,
+			Observer: cliutil.NewAnnealObserver(nil, sink, false),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs, err := obs.ReadJSONL(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cli := sampleKeys(t, evs); !slices.Equal(orpd, cli) {
+			t.Fatalf("n=%d: anneal.sample keys differ:\norpd     %v\norpsolve %v", spec.N, orpd, cli)
+		}
+	}
 }
