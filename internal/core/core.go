@@ -271,9 +271,16 @@ func adjustSymmetricM(n, mOpt, r, sym int) (int, error) {
 	return 0, fmt.Errorf("core: no switch count near m_opt=%d supports symmetry %d for n=%d r=%d", mOpt, sym, n, r)
 }
 
+// finish fills the topology's metrics and bounds and validates it. The
+// annealed regime reuses the annealer's evaluation of its returned graph
+// (opt.Result.Best); the instant regimes evaluate theirs here.
 func finish(top *Topology, n, r int) (*Topology, error) {
 	top.MUsed = top.Graph.Switches()
-	top.Metrics = top.Graph.Evaluate()
+	if top.Method == Annealed {
+		top.Metrics = top.Anneal.Best
+	} else {
+		top.Metrics = top.Graph.Evaluate()
+	}
 	top.ContinuousMoore = bounds.ContinuousMooreHASPL(n, top.MUsed, r)
 	if !top.Metrics.Connected {
 		return nil, hsgraph.ErrNotConnected

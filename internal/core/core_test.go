@@ -1,9 +1,13 @@
 package core
 
 import (
+	"errors"
+	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bounds"
+	"repro/internal/ckpt"
 	"repro/internal/hsgraph"
 	"repro/internal/opt"
 )
@@ -190,4 +194,56 @@ func TestTopologyFieldsConsistent(t *testing.T) {
 	if top.Anneal.Iterations != 500 {
 		t.Fatalf("anneal stats missing: %+v", top.Anneal)
 	}
+}
+
+// TestSolveMetricsAreTheGraphs: the annealed regime reports the
+// annealer's own evaluation of the graph it returns instead of
+// evaluating it again, so that evaluation must be the reference one of
+// the returned graph — on the sharded and the cache-scored paths, with
+// restarts, after an interrupt and after the resume that follows it.
+func TestSolveMetricsAreTheGraphs(t *testing.T) {
+	check := func(name string, top *Topology) {
+		t.Helper()
+		if top.Method != Annealed {
+			t.Fatalf("%s: method %v, want annealed", name, top.Method)
+		}
+		if slow := top.Graph.EvaluateSlow(); top.Metrics != slow {
+			t.Fatalf("%s: Metrics %+v, EvaluateSlow of the returned graph %+v", name, top.Metrics, slow)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		n, r int
+		o    Options
+	}{
+		{"sharded", 72, 8, Options{Iterations: 1500, Seed: 3}},
+		{"restarts", 72, 8, Options{Iterations: 800, Seed: 5, Restarts: 3}},
+		{"symmetric", 96, 8, Options{Iterations: 800, Seed: 2, Symmetry: 2}},
+		{"cache", 1024, 15, Options{Iterations: 300, Seed: 1, Workers: 2}},
+	} {
+		top, err := Solve(tc.n, tc.r, tc.o)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		check(tc.name, top)
+	}
+
+	path := filepath.Join(t.TempDir(), "solve.orpc")
+	var intr atomic.Bool
+	intr.Store(true) // stops after the first iteration
+	o := Options{Iterations: 2000, Seed: 4, CheckpointPath: path, Interrupt: &intr}
+	top, err := Solve(72, 8, o)
+	if !errors.Is(err, ckpt.ErrInterrupted) || top == nil {
+		t.Fatalf("interrupted solve: top=%v err=%v", top, err)
+	}
+	if top.Anneal.Iterations >= o.Iterations {
+		t.Fatalf("interrupt did not stop the run early: %d iterations", top.Anneal.Iterations)
+	}
+	check("interrupted", top)
+	o.Interrupt, o.Resume = nil, true
+	top, err = Solve(72, 8, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("resumed", top)
 }

@@ -233,3 +233,29 @@ func BenchmarkStateSnapshot(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkRead times parsing the canonical text of bench/'s design cell
+// (n=1024, m=195, r=15; ~24 KB), what orpd does before it can key an
+// inline graph. Every parse must be Equal to the written graph.
+func BenchmarkRead(b *testing.B) {
+	g, err := hsgraph.RandomConnected(1024, 195, 15, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := hsgraph.Write(&buf, g); err != nil {
+		b.Fatal(err)
+	}
+	text := buf.Bytes()
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		got, err := hsgraph.Read(bytes.NewReader(text))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !hsgraph.Equal(got, g) {
+			b.Fatal("parsed graph differs from the one written at set-up")
+		}
+	}
+}

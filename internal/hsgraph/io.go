@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -52,6 +53,7 @@ func Read(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	var g *Graph
+	var v [3]int // a directive's integer fields
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -65,13 +67,13 @@ func Read(r io.Reader) (*Graph, error) {
 			if g != nil {
 				return nil, fmt.Errorf("hsgraph: line %d: duplicate header", lineNo)
 			}
-			var n, m, rr int
 			if len(fields) != 4 {
 				return nil, fmt.Errorf("hsgraph: line %d: malformed header", lineNo)
 			}
-			if _, err := fmt.Sscanf(line, "hsgraph %d %d %d", &n, &m, &rr); err != nil {
+			if err := scanInts(line, fields, "hsgraph %d %d %d", v[:3]); err != nil {
 				return nil, fmt.Errorf("hsgraph: line %d: %v", lineNo, err)
 			}
+			n, m, rr := v[0], v[1], v[2]
 			if n < 1 || m < 1 || rr < 1 {
 				return nil, fmt.Errorf("hsgraph: line %d: invalid header values n=%d m=%d r=%d", lineNo, n, m, rr)
 			}
@@ -83,22 +85,20 @@ func Read(r io.Reader) (*Graph, error) {
 			if g == nil {
 				return nil, fmt.Errorf("hsgraph: line %d: host before header", lineNo)
 			}
-			var h, s int
-			if _, err := fmt.Sscanf(line, "host %d %d", &h, &s); err != nil {
+			if err := scanInts(line, fields, "host %d %d", v[:2]); err != nil {
 				return nil, fmt.Errorf("hsgraph: line %d: %v", lineNo, err)
 			}
-			if err := g.AttachHost(h, s); err != nil {
+			if err := g.AttachHost(v[0], v[1]); err != nil {
 				return nil, fmt.Errorf("hsgraph: line %d: %v", lineNo, err)
 			}
 		case "link":
 			if g == nil {
 				return nil, fmt.Errorf("hsgraph: line %d: link before header", lineNo)
 			}
-			var a, b int
-			if _, err := fmt.Sscanf(line, "link %d %d", &a, &b); err != nil {
+			if err := scanInts(line, fields, "link %d %d", v[:2]); err != nil {
 				return nil, fmt.Errorf("hsgraph: line %d: %v", lineNo, err)
 			}
-			if err := g.Connect(a, b); err != nil {
+			if err := g.Connect(v[0], v[1]); err != nil {
 				return nil, fmt.Errorf("hsgraph: line %d: %v", lineNo, err)
 			}
 		default:
@@ -112,6 +112,40 @@ func Read(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("hsgraph: empty input")
 	}
 	return g, nil
+}
+
+// scanInts reads the integer fields of a directive line into out. The
+// usual line — the directive and exactly len(out) fields, each a plain
+// decimal that fits an int — is converted by strconv, to the same values
+// fmt.Sscanf would read. Any other line goes to fmt.Sscanf with the
+// directive's format, which defines the accepted language (it takes a
+// line whose last integer runs into other text, such as "host 0 0x")
+// and words the errors.
+func scanInts(line string, fields []string, format string, out []int) error {
+	if len(fields) == len(out)+1 {
+		ok := true
+		for i, f := range fields[1:] {
+			x, err := strconv.Atoi(f)
+			if err != nil {
+				ok = false
+				break
+			}
+			out[i] = x
+		}
+		if ok {
+			return nil
+		}
+	}
+	var vals [3]int
+	args := make([]any, len(out))
+	for i := range out {
+		args[i] = &vals[i]
+	}
+	if _, err := fmt.Sscanf(line, format, args...); err != nil {
+		return err
+	}
+	copy(out, vals[:])
+	return nil
 }
 
 // Equal reports whether two graphs are identical as labelled graphs:

@@ -1,7 +1,10 @@
 package hsgraph
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -132,13 +135,129 @@ func TestEqualDetectsDifferences(t *testing.T) {
 	}
 }
 
+// readSscanf is Read as it was before its strconv fast path: every
+// directive line scanned by fmt.Sscanf. It is the oracle that defines the
+// accepted language; Read must accept and reject exactly the same inputs
+// and build Equal graphs.
+func readSscanf(r io.Reader) (*Graph, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<16), 1<<24)
+	var g *Graph
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		switch fields[0] {
+		case "hsgraph":
+			if g != nil {
+				return nil, fmt.Errorf("hsgraph: line %d: duplicate header", lineNo)
+			}
+			var n, m, rr int
+			if len(fields) != 4 {
+				return nil, fmt.Errorf("hsgraph: line %d: malformed header", lineNo)
+			}
+			if _, err := fmt.Sscanf(line, "hsgraph %d %d %d", &n, &m, &rr); err != nil {
+				return nil, fmt.Errorf("hsgraph: line %d: %v", lineNo, err)
+			}
+			if n < 1 || m < 1 || rr < 1 {
+				return nil, fmt.Errorf("hsgraph: line %d: invalid header values n=%d m=%d r=%d", lineNo, n, m, rr)
+			}
+			if n > MaxReadDim || m > MaxReadDim {
+				return nil, fmt.Errorf("hsgraph: line %d: header n=%d m=%d exceeds limit %d", lineNo, n, m, MaxReadDim)
+			}
+			g = New(n, m, rr)
+		case "host":
+			if g == nil {
+				return nil, fmt.Errorf("hsgraph: line %d: host before header", lineNo)
+			}
+			var h, s int
+			if _, err := fmt.Sscanf(line, "host %d %d", &h, &s); err != nil {
+				return nil, fmt.Errorf("hsgraph: line %d: %v", lineNo, err)
+			}
+			if err := g.AttachHost(h, s); err != nil {
+				return nil, fmt.Errorf("hsgraph: line %d: %v", lineNo, err)
+			}
+		case "link":
+			if g == nil {
+				return nil, fmt.Errorf("hsgraph: line %d: link before header", lineNo)
+			}
+			var a, b int
+			if _, err := fmt.Sscanf(line, "link %d %d", &a, &b); err != nil {
+				return nil, fmt.Errorf("hsgraph: line %d: %v", lineNo, err)
+			}
+			if err := g.Connect(a, b); err != nil {
+				return nil, fmt.Errorf("hsgraph: line %d: %v", lineNo, err)
+			}
+		default:
+			return nil, fmt.Errorf("hsgraph: line %d: unknown directive %q", lineNo, fields[0])
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if g == nil {
+		return nil, fmt.Errorf("hsgraph: empty input")
+	}
+	return g, nil
+}
+
+// checkReadMatchesOracle compares Read with readSscanf on one input.
+func checkReadMatchesOracle(t *testing.T, in string) {
+	t.Helper()
+	want, werr := readSscanf(strings.NewReader(in))
+	got, gerr := Read(strings.NewReader(in))
+	switch {
+	case (werr == nil) != (gerr == nil):
+		t.Fatalf("%q: Read err %v, oracle err %v", in, gerr, werr)
+	case werr != nil:
+		if gerr.Error() != werr.Error() {
+			t.Fatalf("%q: Read says %q, oracle says %q", in, gerr, werr)
+		}
+	case !Equal(got, want):
+		t.Fatalf("%q: Read and the oracle built different graphs", in)
+	}
+}
+
+func TestReadMatchesSscanfOracle(t *testing.T) {
+	head := "hsgraph 3 3 4\n"
+	lines := []string{
+		"host 0 0", "host\t0\t0", "host  1   2", "host 0 0 trailing", "host 0 0x", "host 0x1 0",
+		"host +1 -0", "host 1+2", "host 0+1 2", "host 1-2 3", "host 01 002", "host 0", "host",
+		"host 0 0 0", "host 1_0 0", "host 9223372036854775808 0", "host -9223372036854775809 0",
+		"host 0\v1", "host 0\f1", "host 0\r1", "host 0\u00a01", "host 0\u20281", "host 0\u00851",
+		"host\u00a00 1", "host 0 1\u00a0x", "host ０ 1", "host 0 \xff", "host 0 1\xff",
+		"link 0 1", "link 0 1 # c", "link 1 0x", "link +0 +2", "link 0\t\t2",
+		"hsgraph 3 3 4", "hsgraph 3 3 4x", "hsgraph +3 3 4",
+	}
+	checkReadMatchesOracle(t, "")
+	for _, l := range lines {
+		checkReadMatchesOracle(t, head+l+"\n")
+		checkReadMatchesOracle(t, head+"host 0 0\nhost 1 1\n"+l+"\nlink 0 1\n")
+		checkReadMatchesOracle(t, strings.Replace(head, "hsgraph 3 3 4", l, 1))
+	}
+	g, err := RandomConnected(1024, 195, 15, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	checkReadMatchesOracle(t, buf.String())
+}
+
 // FuzzReadEdgeList fuzzes the Graph Golf-style edge-list parser (the
-// repository's host-switch-aware text format) against two failure modes:
-// crashes (panics, unbounded allocation from hostile headers) and silent
-// acceptance of invalid graphs — anything the parser lets through must
-// either satisfy the full structural Validate or be flagged by it, and
-// every accepted-and-valid graph must round-trip through the canonical
-// writer unchanged.
+// repository's host-switch-aware text format) against three failure
+// modes: crashes (panics, unbounded allocation from hostile headers),
+// drift from the fmt.Sscanf oracle (readSscanf) in what it accepts,
+// rejects or builds, and silent acceptance of invalid graphs — anything
+// the parser lets through must either satisfy the full structural
+// Validate or be flagged by it, and every accepted-and-valid graph must
+// round-trip through the canonical writer unchanged.
 func FuzzReadEdgeList(f *testing.F) {
 	seeds := []string{
 		"hsgraph 2 2 3\nhost 0 0\nhost 1 1\nlink 0 1\n",
@@ -159,11 +278,15 @@ func FuzzReadEdgeList(f *testing.F) {
 		"hsgraph 2 2 3\nhost x 0\n",
 		"hsgraph 2 2 3\nlink 0 y\n",
 		"hsgraph 2 2 3\nhost 0 0 trailing\n",
+		"hsgraph 2 2 3\nhost 0 0x\nhost +1 1\nlink 0\t1\n",
+		"hsgraph 2 2 3\nhost 1+1 0\n",
+		"hsgraph 2 2 3\nhost 0\u00a00\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
+		checkReadMatchesOracle(t, in)
 		g, err := Read(strings.NewReader(in))
 		if err != nil {
 			return // rejected input: nothing more to check

@@ -7,13 +7,14 @@ import (
 	"sync"
 )
 
-// JSONLSink writes Events as one JSON object per line. It is safe for
-// concurrent use (a mutex serialises writes — event emission is off the
-// per-move hot path by construction: engines sample at intervals).
+// JSONLSink writes Events as one JSON object per line, each encoded by
+// AppendEvent. It is safe for concurrent use (a mutex serialises writes —
+// event emission is off the per-move hot path by construction: engines
+// sample at intervals).
 type JSONLSink struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer
-	enc *json.Encoder
+	buf []byte // one encoded line, reused
 	err error
 }
 
@@ -29,8 +30,7 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 // schema header, for appending to an existing stream that already starts
 // with one (a resumed run continuing its event log).
 func NewJSONLSinkContinue(w io.Writer) *JSONLSink {
-	bw := bufio.NewWriter(w)
-	return &JSONLSink{bw: bw, enc: json.NewEncoder(bw)}
+	return &JSONLSink{bw: bufio.NewWriter(w)}
 }
 
 // Emit appends one event. The first write error is sticky and returned
@@ -41,7 +41,10 @@ func (s *JSONLSink) Emit(e Event) error {
 	if s.err != nil {
 		return s.err
 	}
-	s.err = s.enc.Encode(e)
+	if s.buf, s.err = AppendEvent(s.buf[:0], e); s.err != nil {
+		return s.err
+	}
+	_, s.err = s.bw.Write(append(s.buf, '\n'))
 	return s.err
 }
 
@@ -62,9 +65,9 @@ func (s *JSONLSink) Flush() error {
 // so a partial object is never extended; Close is the terminal call
 // where that protection no longer helps: the events buffered *before*
 // the failure are intact JSONL lines, and dropping them would turn one
-// bad event into silent truncation of the whole tail. A json.Encoder
-// failure happens before any bytes reach the buffer (Encode marshals to
-// a scratch buffer first), so flushing after it cannot emit a torn line.
+// bad event into silent truncation of the whole tail. An encoding
+// failure happens before any bytes reach the buffer (Emit encodes into a
+// scratch buffer first), so flushing after it cannot emit a torn line.
 func (s *JSONLSink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

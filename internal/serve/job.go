@@ -82,7 +82,8 @@ type job struct {
 	spec JobSpec
 	key  string // content-address of the result
 
-	// Parsed once at submit.
+	// Parsed once at submit; graph (and spec.Graph, its text) is dropped
+	// when the job finishes (see release).
 	graph *hsgraph.Graph // nil when generated/designed by the job
 	model fault.Model
 
@@ -102,7 +103,8 @@ type job struct {
 	result    json.RawMessage
 
 	log *eventLog
-	// doneCh closes when the job reaches done or failed.
+	// doneCh closes when the job reaches done or failed (a cache hit
+	// gets the shared closedChan).
 	doneCh chan struct{}
 
 	// The job's causal trace (span events land in log). root is the

@@ -121,6 +121,7 @@ func addDelta(c *obs.Counter, cur, prev int64) {
 func (s *scheduler) executeAnneal(j *job, intr *atomic.Bool) (json.RawMessage, error) {
 	res := AnnealResult{Method: "annealed"}
 	var g *hsgraph.Graph
+	var met hsgraph.Metrics // the engine's own evaluation of g
 
 	if j.graph != nil {
 		// Inline start graph: anneal it directly (the client chose the
@@ -148,6 +149,7 @@ func (s *scheduler) executeAnneal(j *job, intr *atomic.Bool) (json.RawMessage, e
 		}
 		res.Anneal = &annealRes
 		res.MUsed = g.Switches()
+		met = annealRes.Best
 	} else {
 		top, err := core.Solve(j.spec.N, j.spec.R, core.Options{
 			Iterations:     j.spec.Iterations,
@@ -165,7 +167,7 @@ func (s *scheduler) executeAnneal(j *job, intr *atomic.Bool) (json.RawMessage, e
 		if err != nil {
 			return nil, err
 		}
-		g = top.Graph
+		g, met = top.Graph, top.Metrics
 		res.Method = top.Method.String()
 		res.MPredicted = top.MPredicted
 		res.MUsed = top.MUsed
@@ -176,7 +178,6 @@ func (s *scheduler) executeAnneal(j *job, intr *atomic.Bool) (json.RawMessage, e
 		}
 	}
 
-	met := g.EvaluateParallel(j.workers)
 	res.Graph = fault.NewGraphReport(g, met)
 	res.Fingerprint = g.Fingerprint().String()
 	var buf bytes.Buffer

@@ -127,12 +127,8 @@ func (s *scheduler) Submit(spec JobSpec) (JobStatus, error) {
 		workers:   clamp(spec.Workers, 1, s.budget),
 		submitted: s.clock(),
 		log:       newEventLog(),
-		doneCh:    make(chan struct{}),
 	}
 	j.preemptible = spec.Type != TypeEval
-	if s.dataDir != "" {
-		j.ckptPath = filepath.Join(s.dataDir, j.id+".orpc")
-	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
 	s.met.submitted.Inc()
@@ -180,11 +176,16 @@ func (s *scheduler) Submit(spec JobSpec) (JobStatus, error) {
 		j.root.SetF("cached", 1)
 		j.root.End()
 		j.log.Close(jobDoneEvent(j, 0))
-		close(j.doneCh)
+		j.doneCh = closedChan
+		j.release()
 		return j.status(), nil
 	}
 	s.met.misses.Inc()
 
+	j.doneCh = make(chan struct{})
+	if s.dataDir != "" {
+		j.ckptPath = filepath.Join(s.dataDir, j.id+".orpc")
+	}
 	j.state = StateQueued
 	s.enqueueLocked(j)
 	s.schedule()
@@ -394,7 +395,20 @@ func (s *scheduler) run(j *job, intr *atomic.Bool) {
 	if err == nil {
 		s.recordRunLocked(j)
 	}
+	j.release()
 	s.schedule()
+}
+
+// release drops what a finished job no longer needs: the parsed inline
+// graph and its text, the checkpoint path, and the tracer and spans,
+// whose events the log already holds encoded. The record stays
+// queryable: it keeps its status, its result bytes (shared with the
+// result cache) and its encoded event lines. Caller holds s.mu.
+func (j *job) release() {
+	j.graph = nil
+	j.spec.Graph = ""
+	j.ckptPath = ""
+	j.tracer, j.root, j.waitSpan, j.runSpan = nil, nil, nil, nil
 }
 
 // recordRunLocked appends a finished job to the persistent run store.

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -216,27 +217,39 @@ func TestEventLogOverrunEviction(t *testing.T) {
 		t.Fatalf("batch=%d next=%d closed=%v", len(batch), next, closed)
 	}
 	// The window is the most recent suffix, in order.
-	if batch[len(batch)-1].T != 4999 {
-		t.Fatalf("window does not end at the newest event: T=%v", batch[len(batch)-1].T)
+	if last := decodeLine(t, batch[len(batch)-1]); last.T != 4999 {
+		t.Fatalf("window does not end at the newest event: T=%v", last.T)
 	}
 
 	// A caught-up reader sees nothing new and no drop; after Close it
 	// drains the final event and observes the end of stream.
 	l.Close(obs.Event{Kind: "done"})
 	batch, next, dropped, closed, _ = l.ReadFrom(next)
-	if dropped != 0 || !closed || len(batch) != 1 || batch[0].Kind != "done" {
-		t.Fatalf("post-close read: batch=%v dropped=%d closed=%v", batch, dropped, closed)
+	if dropped != 0 || !closed || len(batch) != 1 || decodeLine(t, batch[0]).Kind != "done" {
+		t.Fatalf("post-close read: batch=%q dropped=%d closed=%v", batch, dropped, closed)
 	}
 	if batch, _, _, closed, _ = l.ReadFrom(next); len(batch) != 0 || !closed {
 		t.Fatalf("stream did not terminate: batch=%d closed=%v", len(batch), closed)
 	}
 }
 
-// TestFailedJobReportsError pins the failure path: an infeasible
-// generated graph fails the job with a useful error and is not cached.
+func decodeLine(t *testing.T, line []byte) obs.Event {
+	t.Helper()
+	var e obs.Event
+	if err := json.Unmarshal(line, &e); err != nil {
+		t.Fatalf("stored line %q: %v", line, err)
+	}
+	return e
+}
+
+// TestFailedJobReportsError pins the failure path: an anneal of a
+// disconnected inline graph passes admission (parsing checks structure,
+// not connectivity), fails at run time with a useful error and is not
+// cached.
 func TestFailedJobReportsError(t *testing.T) {
 	s := testServer(t, Config{Workers: 1})
-	spec := JobSpec{Type: TypeEval, N: 100, M: 30, R: 3, GraphSeed: 1} // degree budget too small
+	disconnected := "hsgraph 4 4 4\nhost 0 0\nhost 1 1\nhost 2 2\nhost 3 3\nlink 0 1\nlink 2 3\n"
+	spec := JobSpec{Type: TypeAnneal, Graph: disconnected, Iterations: 100}
 	st, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)

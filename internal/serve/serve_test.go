@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -244,6 +246,11 @@ func TestSubmitValidation(t *testing.T) {
 		{Type: TypeSweep, N: 48, M: 16, R: 6, Model: "bad"},    // bad model
 		{Type: TypeSweep, N: 48, M: 16, R: 6, Fractions: []float64{2}},
 		{Type: TypeEval, N: 48, M: 16, R: 6, Workers: -1},
+		// Infeasible generated graphs: n > m*r - 2(m-1).
+		{Type: TypeEval, N: 100, M: 30, R: 3, GraphSeed: 1}, // 100 > 32
+		{Type: TypeSweep, N: 48, M: 4, R: 6},                // 48 > 18
+		{Type: TypeAnneal, N: 48, M: 2, R: 6},               // fixed m: 48 > 10
+		{Type: TypeEval, N: 7, M: 1, R: 6},                  // one switch holds r hosts
 	}
 	for i, spec := range bad {
 		_, err := s.Submit(spec)
@@ -254,6 +261,17 @@ func TestSubmitValidation(t *testing.T) {
 		if spec.EvalMode != "" && !strings.Contains(err.Error(), "exact or incremental") {
 			t.Errorf("spec %d: error %q does not name the valid eval modes", i, err)
 		}
+		if infeasible := spec.M > 0 && spec.Graph == "" && !hsgraph.Feasible(spec.N, spec.M, spec.R); infeasible {
+			want := fmt.Sprintf("n=%d hosts on m=%d switches of radix r=%d", spec.N, spec.M, spec.R)
+			if !errors.Is(err, ErrInfeasible) || !strings.Contains(err.Error(), want) {
+				t.Errorf("spec %d: error %q is not ErrInfeasible naming %q", i, err, want)
+			}
+		}
+	}
+	// The boundary itself is feasible: 18 hosts fill m=4 switches of
+	// radix 6 once a spanning tree has taken 2(m-1) ports.
+	if _, err := s.Submit(JobSpec{Type: TypeEval, N: 18, M: 4, R: 6, GraphSeed: 1}); err != nil {
+		t.Fatalf("feasible boundary spec rejected: %v", err)
 	}
 
 	// Over HTTP a spelling orpd never accepted is refused up front with a
@@ -268,6 +286,21 @@ func TestSubmitValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("evalMode symmetric: status %d, want 400", resp.StatusCode)
+	}
+
+	// A well-formed spec naming a graph that cannot exist is a 422 whose
+	// error names n, m and r.
+	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"type":"eval","n":100,"m":30,"r":3,"graphSeed":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var apiErr apiError
+	derr := json.NewDecoder(resp.Body).Decode(&apiErr)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity || derr != nil ||
+		!strings.Contains(apiErr.Error, "n=100 hosts on m=30 switches of radix r=3") {
+		t.Fatalf("infeasible spec: status %d error %q (%v), want 422 naming n, m and r", resp.StatusCode, apiErr.Error, derr)
 	}
 }
 

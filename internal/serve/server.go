@@ -393,8 +393,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	st, err := s.sched.Submit(spec)
 	if err != nil {
 		code := http.StatusBadRequest
-		if errors.Is(err, ErrDraining) {
+		switch {
+		case errors.Is(err, ErrDraining):
 			code = http.StatusServiceUnavailable
+		case errors.Is(err, ErrInfeasible):
+			code = http.StatusUnprocessableEntity
 		}
 		writeJSON(w, code, apiError{err.Error()})
 		return
@@ -431,7 +434,9 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 // handleEvents streams the job's event log as JSONL: full replay first,
 // then live follow until the job finishes or the client goes away
 // (?follow=0 stops after the replay). The stream is exactly the schema
-// of the CLIs' -trace-out files, starting with the versioned obs header.
+// of the CLIs' -trace-out files, starting with the versioned obs header,
+// and its lines are the bytes the log encoded once at append: a replay
+// after the job finished is byte for byte what a live follower got.
 //
 // The log is ring-buffered; a reader that falls more than the buffer
 // capacity behind receives a stream.gap event naming how many events
@@ -448,7 +453,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	flush := func() {
 		if flusher != nil {
@@ -459,13 +463,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		batch, n, dropped, closed, changed := log.ReadFrom(next)
 		if dropped > 0 {
-			if enc.Encode(obs.Event{Kind: KindStreamGap,
-				F: map[string]float64{"dropped": float64(dropped)}}) != nil {
+			gap, _ := encodeLine(obs.Event{Kind: KindStreamGap, // finite: always encodes
+				F: map[string]float64{"dropped": float64(dropped)}})
+			if _, err := w.Write(gap); err != nil {
 				return
 			}
 		}
-		for _, e := range batch {
-			if enc.Encode(e) != nil {
+		for _, line := range batch {
+			if _, err := w.Write(line); err != nil {
 				return
 			}
 		}

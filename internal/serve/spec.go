@@ -19,6 +19,7 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -79,6 +80,11 @@ type JobSpec struct {
 	Trials    int       `json:"trials,omitempty"`    // default 20
 }
 
+// ErrInfeasible marks a well-formed spec whose generated graph cannot
+// exist: n hosts do not fit on m switches of radix r once a spanning
+// tree has taken its ports. The HTTP API answers it with 422.
+var ErrInfeasible = errors.New("serve: infeasible spec")
+
 // normalize validates the spec and fills defaults, returning the parsed
 // graph (nil when the job generates or designs its own) and parsed
 // enum options.
@@ -105,6 +111,10 @@ func (sp *JobSpec) normalize() (g *hsgraph.Graph, model fault.Model, err error) 
 		}
 		if sp.Type != TypeAnneal && sp.M < 1 {
 			return nil, 0, fmt.Errorf("serve: %s jobs need a concrete graph: inline text or m >= 1", sp.Type)
+		}
+		if sp.M > 0 && !hsgraph.Feasible(sp.N, sp.M, sp.R) {
+			return nil, 0, fmt.Errorf("%w: no connected host-switch graph has n=%d hosts on m=%d switches of radix r=%d (needs n <= m*r - 2(m-1))",
+				ErrInfeasible, sp.N, sp.M, sp.R)
 		}
 	}
 	// evalMode selects nothing any more; the spellings clients used to
