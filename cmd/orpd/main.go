@@ -1,12 +1,13 @@
 // Command orpd is the long-running topology-design service: a REST/JSON
 // server over the repository's engines (graph evaluation, ORP
 // annealing, Monte-Carlo fault sweeps) with a priority job queue, one
-// shared worker budget with checkpoint preemption, and a
-// content-addressed result cache.
+// shared worker budget with in-memory preemption (a preempted anneal or
+// sweep parks, keeping its memory, and continues where it stopped), and
+// a content-addressed result cache.
 //
 // Usage:
 //
-//	orpd -addr 127.0.0.1:8080 -workers 8 -data-dir /var/lib/orpd
+//	orpd -addr 127.0.0.1:8080 -workers 8 -store /var/lib/orpd
 //
 // API (see internal/serve):
 //
@@ -24,8 +25,10 @@
 // process, and `orphist` queries the same directory offline.
 //
 // On SIGINT/SIGTERM the server drains gracefully: new submissions get
-// 503, running anneals and sweeps checkpoint and unwind, in-flight HTTP
-// requests finish, then the process exits. A second signal aborts.
+// 503, running and parked anneals and sweeps stop without a snapshot
+// (they stay queued; orpd never resumed a job across processes), evals
+// and run-store appends in flight finish, in-flight HTTP requests
+// finish, then the process exits. A second signal aborts.
 package main
 
 import (
@@ -50,16 +53,18 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an OS-assigned port)")
 		workers      = flag.Int("workers", 0, "global worker budget shared by all jobs (0 = all cores)")
 		cacheSize    = flag.Int("cache-size", 1024, "result cache capacity in entries")
-		dataDir      = flag.String("data-dir", "", "checkpoint directory (default: a fresh temp dir)")
 		storeDir     = flag.String("store", "", "persistent run-store directory (empty = no persistence)")
 		retention    = flag.Duration("retention", 0, "drop finished job records this long after completion (0 = keep forever; cached results keep their own LRU bound)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline")
 	)
+	// Accepted so existing command lines keep working; preempted jobs
+	// park in memory and orpd writes no checkpoint files.
+	flag.String("data-dir", "", "deprecated and ignored: orpd writes no checkpoint files")
 	version := cliutil.VersionFlag()
 	flag.Parse()
 	cliutil.ExitIfVersion("orpd", version)
 	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: orpd [-addr host:port] [-workers N] [-cache-size N] [-data-dir DIR]")
+		fmt.Fprintln(os.Stderr, "usage: orpd [-addr host:port] [-workers N] [-cache-size N] [-store DIR] [-retention D] [-drain-timeout D]")
 		os.Exit(2)
 	}
 	w, err := cliutil.Workers(*workers)
@@ -70,7 +75,6 @@ func main() {
 	srv, err := serve.New(serve.Config{
 		Workers:   w,
 		CacheSize: *cacheSize,
-		DataDir:   *dataDir,
 		StoreDir:  *storeDir,
 		Registry:  obs.NewRegistry(),
 		Retention: *retention,
@@ -104,7 +108,7 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	// Stop the scheduler first (jobs checkpoint and unwind), then the
+	// Stop the scheduler first (engines stop, appends finish), then the
 	// HTTP listener (in-flight status/event requests finish).
 	if err := srv.Drain(ctx); err != nil {
 		fmt.Fprintf(os.Stderr, "orpd: %v\n", err)
@@ -112,9 +116,8 @@ func main() {
 	if err := hs.Shutdown(ctx); err != nil {
 		hs.Close()
 	}
-	// Close releases the run store's append handle and removes an owned
-	// temp data dir (the drain above already unwound every job, so the
-	// embedded re-drain is a no-op).
+	// Close releases the run store's append handle (the drain above
+	// already stopped every engine, so the embedded re-drain is a no-op).
 	if err := srv.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "orpd: %v\n", err)
 	}

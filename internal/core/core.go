@@ -116,6 +116,10 @@ type Options struct {
 	// Solve persist a final snapshot and return ckpt.ErrInterrupted
 	// (alongside the partial best topology when one is available).
 	Interrupt *atomic.Bool
+	// Pause is forwarded to the annealer: where Interrupt would unwind
+	// the run, it blocks in Pause and then continues in memory or stops
+	// (see opt.Options.Pause).
+	Pause func() (span *obs.Span, resume bool)
 	// Span is the parent for the annealer's stage spans (see
 	// opt.Options.Span). The single-switch and clique regimes finish in
 	// microseconds and open no stages. Nil disables tracing for free.
@@ -222,6 +226,7 @@ func Solve(n, r int, o Options) (*Topology, error) {
 		CheckpointEvery: o.CheckpointEvery,
 		Resume:          o.Resume,
 		Interrupt:       o.Interrupt,
+		Pause:           o.Pause,
 		Span:            o.Span,
 	}
 	if ao.Workers == 0 && o.Restarts == 1 {

@@ -60,6 +60,15 @@ type SweepOptions struct {
 	// and Sweep returns ckpt.ErrInterrupted. Nil results accompany the
 	// error; the ledger holds every finished trial.
 	Interrupt *atomic.Bool
+	// Pause, if non-nil, is called where Interrupt would end the sweep,
+	// once the trial workers have drained: the sweep first ends its
+	// sweep.trials span (outcome "paused"), then blocks in Pause until
+	// it answers. Span is the parent of the stages that follow: the next
+	// sweep.trials, then sweep.aggregate. Resume true continues the
+	// remaining trials in memory; the caller clears Interrupt before
+	// answering so. Resume false stops as without a hook: the ledger is
+	// flushed and Sweep returns ckpt.ErrInterrupted.
+	Pause func() (span *obs.Span, resume bool)
 	// Span, if non-nil, is the caller's parent span; the sweep opens
 	// stage children (sweep.pristine-eval, sweep.trials with trial
 	// counts, sweep.aggregate). Nil costs nothing (see internal/obs).
@@ -216,81 +225,102 @@ func Sweep(g *hsgraph.Graph, o SweepOptions) ([]SweepPoint, error) {
 	doneCount.Store(int64(prefilled))
 	var progressMu sync.Mutex
 	reporting := o.OnTrial != nil || o.Metrics != nil
-	var wg sync.WaitGroup
-	for w := 0; w < trialWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Stage-label the trial worker so CPU profiles split sweep
-			// time from the evaluator shards it drives (stage=eval).
-			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-				pprof.Labels("stage", "sweep", "worker", strconv.Itoa(w))))
-			ev := hsgraph.NewEvaluator(evWorkers)
-			defer ev.Close()
-			for {
-				if o.Interrupt != nil && o.Interrupt.Load() {
-					return
-				}
-				i := int(cursor.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				if ledger != nil && ledger.done[i] {
-					continue // restored from the ledger; nothing to redo
-				}
-				jb := jobs[i]
-				var trialStart time.Time
-				if reporting {
-					trialStart = time.Now()
-				}
-				sc, err := Sample(g, o.Model, o.Fractions[jb.fi], TrialSeed(o.Seed, jb.fi, jb.t))
-				if err != nil {
+	worker := func(w int) {
+		// Stage-label the trial worker so CPU profiles split sweep
+		// time from the evaluator shards it drives (stage=eval).
+		pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
+			pprof.Labels("stage", "sweep", "worker", strconv.Itoa(w))))
+		ev := hsgraph.NewEvaluator(evWorkers)
+		defer ev.Close()
+		for {
+			if o.Interrupt != nil && o.Interrupt.Load() {
+				return
+			}
+			i := int(cursor.Add(1)) - 1
+			if i >= len(jobs) {
+				return
+			}
+			if ledger != nil && ledger.done[i] {
+				continue // restored from the ledger; nothing to redo
+			}
+			jb := jobs[i]
+			var trialStart time.Time
+			if reporting {
+				trialStart = time.Now()
+			}
+			sc, err := Sample(g, o.Model, o.Fractions[jb.fi], TrialSeed(o.Seed, jb.fi, jb.t))
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			d, err := Apply(g, sc)
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			results[i] = Measure(pristine, d, ev)
+			if ledger != nil {
+				if err := ledger.record(i, results[i]); err != nil {
 					errs[w] = err
 					return
-				}
-				d, err := Apply(g, sc)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				results[i] = Measure(pristine, d, ev)
-				if ledger != nil {
-					if err := ledger.record(i, results[i]); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-				done := int(doneCount.Add(1))
-				if reporting {
-					secs := time.Since(trialStart).Seconds()
-					if m := o.Metrics; m != nil {
-						m.TrialsCompleted.Inc()
-						m.TrialSeconds.Observe(secs)
-						m.Progress.Set(float64(done) / float64(len(jobs)))
-					}
-					if o.OnTrial != nil {
-						progressMu.Lock()
-						o.OnTrial(TrialProgress{
-							FracIndex: jb.fi,
-							Fraction:  o.Fractions[jb.fi],
-							Trial:     jb.t,
-							Done:      done,
-							Total:     len(jobs),
-							Seconds:   secs,
-							Result:    results[i],
-						})
-						progressMu.Unlock()
-					}
 				}
 			}
-		}(w)
+			done := int(doneCount.Add(1))
+			if reporting {
+				secs := time.Since(trialStart).Seconds()
+				if m := o.Metrics; m != nil {
+					m.TrialsCompleted.Inc()
+					m.TrialSeconds.Observe(secs)
+					m.Progress.Set(float64(done) / float64(len(jobs)))
+				}
+				if o.OnTrial != nil {
+					progressMu.Lock()
+					o.OnTrial(TrialProgress{
+						FracIndex: jb.fi,
+						Fraction:  o.Fractions[jb.fi],
+						Trial:     jb.t,
+						Done:      done,
+						Total:     len(jobs),
+						Seconds:   secs,
+						Result:    results[i],
+					})
+					progressMu.Unlock()
+				}
+			}
+		}
 	}
-	wg.Wait()
-	tsp.SetF("done", float64(doneCount.Load()))
-	for _, err := range errs {
-		if err != nil {
-			tsp.Fail(err)
-			return nil, err
+	for {
+		var wg sync.WaitGroup
+		for w := 0; w < trialWorkers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				worker(w)
+			}(w)
+		}
+		wg.Wait()
+		tsp.SetF("done", float64(doneCount.Load()))
+		for _, err := range errs {
+			if err != nil {
+				tsp.Fail(err)
+				return nil, err
+			}
+		}
+		if int(doneCount.Load()) == len(jobs) || o.Pause == nil {
+			break
+		}
+		// Interrupted with a pause hook: every claimed trial finished, so
+		// the cursor is where the remaining trials start.
+		tsp.SetS("outcome", "paused")
+		tsp.End()
+		var resume bool
+		o.Span, resume = o.Pause()
+		tsp = o.Span.Child("sweep.trials")
+		tsp.SetF("total", float64(len(jobs)))
+		tsp.SetF("restored", float64(doneCount.Load()))
+		tsp.SetF("workers", float64(trialWorkers))
+		if !resume {
+			break
 		}
 	}
 	if ledger != nil {

@@ -259,3 +259,25 @@ func BenchmarkRead(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRandomConnected times generating bench/'s design cell (n=1024,
+// m=195, r=15), which every cold orpd eval and every generated anneal
+// start pays. Every generated graph must equal, in storage order, the
+// one recorded at set-up.
+func BenchmarkRandomConnected(b *testing.B) {
+	g, err := hsgraph.RandomConnected(1024, 195, 15, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := g.MarshalState()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		got, err := hsgraph.RandomConnected(1024, 195, 15, rng.New(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !bytes.Equal(got.MarshalState(), want) {
+			b.Fatal("generated graph differs from the one recorded at set-up")
+		}
+	}
+}

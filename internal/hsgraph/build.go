@@ -34,6 +34,17 @@ func DistributeHostsEvenly(g *Graph) error {
 // swap and swing operations preserve the edge count: the search explores
 // only graphs with as many switch-switch edges as the initial solution.
 func RandomConnected(n, m, r int, rnd *rng.Rand) (*Graph, error) {
+	g, err := randomSpanning(n, m, r, rnd)
+	if err != nil {
+		return nil, err
+	}
+	SaturateEdges(g, rnd)
+	return g, nil
+}
+
+// randomSpanning is RandomConnected before saturation: a random path
+// over the switches with the hosts filled round-robin.
+func randomSpanning(n, m, r int, rnd *rng.Rand) (*Graph, error) {
 	if !Feasible(n, m, r) {
 		return nil, fmt.Errorf("hsgraph: no connected host-switch graph with n=%d m=%d r=%d exists", n, m, r)
 	}
@@ -67,7 +78,6 @@ func RandomConnected(n, m, r int, rnd *rng.Rand) (*Graph, error) {
 			return nil, fmt.Errorf("hsgraph: ran out of ports placing host %d (n=%d m=%d r=%d)", h, n, m, r)
 		}
 	}
-	SaturateEdges(g, rnd)
 	return g, nil
 }
 
@@ -109,16 +119,16 @@ func SaturateEdges(g *Graph, rnd *rng.Rand) {
 			continue
 		}
 		misses = 0
-		free = compactFree(g, free)
+		free = dropSaturated(g, free, i, j)
 	}
 	// Deterministic sweep to finish off any remaining feasible pair.
 	for {
-		free = compactFree(g, free)
 		added := false
 		for i := 0; i < len(free) && !added; i++ {
 			for j := i + 1; j < len(free); j++ {
 				if !g.HasEdge(free[i], free[j]) {
 					if g.Connect(free[i], free[j]) == nil {
+						free = dropSaturated(g, free, i, j)
 						added = true
 						break
 					}
@@ -131,14 +141,21 @@ func SaturateEdges(g *Graph, rnd *rng.Rand) {
 	}
 }
 
-func compactFree(g *Graph, free []int) []int {
-	out := free[:0]
-	for _, s := range free {
-		if g.Degree(s) < g.Radix() {
-			out = append(out, s)
-		}
+// dropSaturated removes free[i] and free[j], the endpoints of the edge
+// just added, from the free list when they have no port left, keeping
+// the order of the rest. No other switch's degree changed, so the list
+// stays exactly the unsaturated switches without rescanning it.
+func dropSaturated(g *Graph, free []int, i, j int) []int {
+	if i < j {
+		i, j = j, i // drop the later slot first so the earlier index holds
 	}
-	return out
+	if g.Degree(free[i]) >= g.Radix() {
+		free = append(free[:i], free[i+1:]...)
+	}
+	if g.Degree(free[j]) >= g.Radix() {
+		free = append(free[:j], free[j+1:]...)
+	}
+	return free
 }
 
 // RandomRegular builds a k-regular host-switch graph: m switches each with

@@ -1,6 +1,7 @@
 package hsgraph
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/rng"
@@ -131,5 +132,97 @@ func TestFixtureBuilders(t *testing.T) {
 	}
 	if _, err := Ring(3, 1, 4); err != nil {
 		t.Fatalf("1-ring: %v", err)
+	}
+}
+
+// saturateRescan is SaturateEdges as it was before it dropped saturated
+// endpoints in place: it rescans the whole free list after every edge
+// it adds. It is the oracle the in-place version must match, edge for
+// edge and RNG draw for RNG draw.
+func saturateRescan(g *Graph, rnd *rng.Rand) {
+	compact := func(free []int) []int {
+		out := free[:0]
+		for _, s := range free {
+			if g.Degree(s) < g.Radix() {
+				out = append(out, s)
+			}
+		}
+		return out
+	}
+	m := g.Switches()
+	free := make([]int, 0, m)
+	for s := 0; s < m; s++ {
+		if g.Degree(s) < g.Radix() {
+			free = append(free, s)
+		}
+	}
+	misses := 0
+	for len(free) >= 2 && misses < 32*m {
+		i := rnd.Intn(len(free))
+		j := rnd.Intn(len(free))
+		if i == j {
+			misses++
+			continue
+		}
+		a, b := free[i], free[j]
+		if g.HasEdge(a, b) || g.Connect(a, b) != nil {
+			misses++
+			continue
+		}
+		misses = 0
+		free = compact(free)
+	}
+	for {
+		free = compact(free)
+		added := false
+		for i := 0; i < len(free) && !added; i++ {
+			for j := i + 1; j < len(free); j++ {
+				if !g.HasEdge(free[i], free[j]) {
+					if g.Connect(free[i], free[j]) == nil {
+						added = true
+						break
+					}
+				}
+			}
+		}
+		if !added {
+			return
+		}
+	}
+}
+
+// TestSaturateEdgesMatchesRescan pins the generator's output to the
+// rescanning oracle: the same storage order (edge list, adjacency and
+// host lists, via MarshalState) and the same RNG stream position after
+// saturation, over many seeds and cells, the design cell included.
+func TestSaturateEdgesMatchesRescan(t *testing.T) {
+	cells := []struct{ n, m, r int }{
+		{20, 8, 6}, {24, 8, 5}, {48, 16, 6}, {64, 20, 7}, {90, 30, 5},
+		{256, 64, 10}, {512, 100, 12}, {1024, 195, 15}, {2, 2, 3}, {60, 4, 40},
+	}
+	seeds := uint64(40)
+	if testing.Short() {
+		seeds = 8
+	}
+	for _, c := range cells {
+		for seed := uint64(1); seed <= seeds; seed++ {
+			rnd := rng.New(seed)
+			got, err := RandomConnected(c.n, c.m, c.r, rnd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ornd := rng.New(seed)
+			want, err := randomSpanning(c.n, c.m, c.r, ornd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			saturateRescan(want, ornd)
+			if !bytes.Equal(got.MarshalState(), want.MarshalState()) {
+				t.Fatalf("n=%d m=%d r=%d seed %d: graph differs from the rescanning oracle", c.n, c.m, c.r, seed)
+			}
+			if rnd.State() != ornd.State() {
+				t.Fatalf("n=%d m=%d r=%d seed %d: RNG stream position differs from the oracle", c.n, c.m, c.r, seed)
+			}
+		}
 	}
 }

@@ -139,6 +139,27 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
+	e := s.eventLocked(now)
+	s.mu.Unlock()
+	s.tr.emit(e)
+}
+
+// Peek returns the event End would emit if called now, without ending
+// the span: an open span's interval up to the call. It lets a consumer
+// rebuild a trace whose spans are still open (orpd's run-store record,
+// built inside the job's last run episode). Nil-safe: a nil span yields
+// the zero Event, which span-tree reconstruction ignores.
+func (s *Span) Peek() Event {
+	if s == nil {
+		return Event{}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.eventLocked(time.Now())
+}
+
+// eventLocked builds the span's event as of now. Caller holds s.mu.
+func (s *Span) eventLocked(now time.Time) Event {
 	f := map[string]float64{
 		"id":    float64(s.id),
 		"start": s.startT.Sub(s.tr.epoch).Seconds(),
@@ -157,13 +178,12 @@ func (s *Span) End() {
 	for k, v := range s.sattr {
 		sa[k] = v
 	}
-	s.mu.Unlock()
-	s.tr.emit(Event{
+	return Event{
 		T:    now.Sub(s.tr.epoch).Seconds(),
 		Kind: KindSpan,
 		F:    f,
 		S:    sa,
-	})
+	}
 }
 
 // Backdate resets the span's start to t. Nil-safe; no-op after End or

@@ -125,6 +125,31 @@ func TestSpanEndIdempotent(t *testing.T) {
 	}
 }
 
+// TestSpanPeek: Peek reads an open span's event as End would emit it
+// now, without emitting or ending it; the later End still emits once.
+func TestSpanPeek(t *testing.T) {
+	tr, events := collectTracer("t")
+	s := tr.Root("run")
+	s.SetS("outcome", "done")
+	p := s.Peek()
+	if len(*events) != 0 {
+		t.Fatalf("Peek emitted %d events", len(*events))
+	}
+	s.End()
+	if len(*events) != 1 {
+		t.Fatalf("End after Peek emitted %d events, want 1", len(*events))
+	}
+	e := (*events)[0]
+	if p.Kind != KindSpan || p.S["name"] != "run" || p.S["outcome"] != "done" ||
+		p.F["id"] != e.F["id"] || p.F["start"] != e.F["start"] || p.F["dur"] > e.F["dur"] {
+		t.Fatalf("peek %+v does not match the ended span %+v", p, e)
+	}
+	var nilSpan *Span
+	if got := nilSpan.Peek(); got.Kind != "" {
+		t.Fatalf("nil span peeked %+v", got)
+	}
+}
+
 func TestOrphanSpansPromoted(t *testing.T) {
 	// A truncated stream: the parent's event was evicted.
 	events := []Event{

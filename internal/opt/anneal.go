@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -156,6 +157,17 @@ type Options struct {
 	// ckpt.ErrInterrupted. The CLIs arm it from SIGINT/SIGTERM via
 	// cliutil.Interrupt.
 	Interrupt *atomic.Bool
+	// Pause, if non-nil, is called where Interrupt would unwind the run.
+	// The annealer first ends its anneal.loop span (outcome "paused"),
+	// then blocks in Pause until it answers. Span is the parent of the
+	// stages that follow: the next anneal.loop, then anneal.final-eval.
+	// Resume true continues this run in memory; the caller clears
+	// Interrupt before answering so. Resume false stops as without a
+	// hook: a snapshot if CheckpointPath is set, then
+	// ckpt.ErrInterrupted. ParallelAnneal calls it once, when every
+	// restart still running has reached it. A resumed run is the run
+	// that was never paused, bit for bit.
+	Pause func() (span *obs.Span, resume bool)
 	// Span, if non-nil, is the caller's parent span; the annealer opens
 	// children at stage boundaries (anneal.init or anneal.resume-load,
 	// anneal.loop with an outcome attribute, anneal.checkpoint per
@@ -444,8 +456,19 @@ func runAnneal(st *annealState, o Options, sc *scorer) (*hsgraph.Graph, Result, 
 		st.iter = iter + 1
 
 		// Durability points, off the boundary-free hot path: a periodic
-		// snapshot, the final snapshot, and an interrupt-triggered one.
-		interrupted := o.Interrupt != nil && o.Interrupt.Load()
+		// snapshot, the final snapshot, and an interrupt-triggered one
+		// unless the pause hook continues the run in memory.
+		interrupted := o.Interrupt != nil && o.Interrupt.Load() && st.iter < o.Iterations
+		if interrupted && o.Pause != nil {
+			loop.SetF("iter", float64(st.iter))
+			loop.SetS("outcome", "paused")
+			loop.End()
+			var resume bool
+			o.Span, resume = o.Pause()
+			loop = o.Span.Child("anneal.loop")
+			loop.SetF("start-iter", float64(st.iter))
+			interrupted = !resume
+		}
 		if o.CheckpointPath != "" &&
 			(st.iter%o.CheckpointEvery == 0 || st.iter == o.Iterations || interrupted) {
 			csp := loop.Child("anneal.checkpoint")
@@ -457,7 +480,7 @@ func runAnneal(st *annealState, o Options, sc *scorer) (*hsgraph.Graph, Result, 
 			}
 			csp.End()
 		}
-		if interrupted && st.iter < o.Iterations {
+		if interrupted {
 			res.Iterations = st.iter
 			res.Eval = evalStats(sc.inc)
 			loop.SetF("iter", float64(st.iter))
@@ -631,7 +654,10 @@ func calibrateTemp(g *hsgraph.Graph, moves MoveSet, sym int, rnd *rng.Rand, sc *
 // RestartCheckpointPath(o.CheckpointPath, restarts, i); Resume picks up
 // whichever restarts left snapshots behind and starts the rest fresh. If
 // o.Interrupt fires, every restart persists its state and ParallelAnneal
-// returns ckpt.ErrInterrupted.
+// returns ckpt.ErrInterrupted. With o.Pause set, the restarts that reach
+// the interrupt wait for each other instead, and o.Pause is called once
+// every restart still running waits (see pauseBarrier); each resumes
+// under its own anneal.restart span below the span Pause returns.
 func ParallelAnneal(start *hsgraph.Graph, o Options, restarts int) (*hsgraph.Graph, Result, error) {
 	if restarts < 1 {
 		restarts = 1
@@ -650,6 +676,10 @@ func ParallelAnneal(start *hsgraph.Graph, o Options, restarts int) (*hsgraph.Gra
 	}
 	outs := make([]outcome, restarts)
 	done := make(chan int)
+	var bar *pauseBarrier
+	if o.Pause != nil {
+		bar = newPauseBarrier(o.Pause, restarts)
+	}
 	for i := 0; i < restarts; i++ {
 		go func(i int) {
 			// Stage-label the restart goroutine (and, by inheritance,
@@ -673,7 +703,18 @@ func ParallelAnneal(start *hsgraph.Graph, o Options, restarts int) (*hsgraph.Gra
 			rsp := o.Span.Child("anneal.restart")
 			rsp.SetF("restart", float64(i))
 			oi.Span = rsp
+			if bar != nil {
+				oi.Pause = func() (*obs.Span, bool) {
+					rsp.SetS("outcome", "paused")
+					rsp.End()
+					sp, resume := bar.wait()
+					rsp = sp.Child("anneal.restart")
+					rsp.SetF("restart", float64(i))
+					return rsp, resume
+				}
+			}
 			g, res, err := Anneal(start, oi)
+			bar.leave()
 			switch {
 			case errors.Is(err, ckpt.ErrInterrupted):
 				rsp.SetS("outcome", "interrupted")
@@ -708,6 +749,70 @@ func ParallelAnneal(start *hsgraph.Graph, o Options, restarts int) (*hsgraph.Gra
 		}
 	}
 	return outs[bestIdx].g, outs[bestIdx].res, nil
+}
+
+// pauseBarrier turns ParallelAnneal's per-restart pause calls into one
+// call of the caller's hook: a restart that reaches its interrupt waits
+// until every restart still running has reached it too (a restart that
+// finishes meanwhile leaves), and the last to arrive calls the hook and
+// hands its answer to all. A nil barrier (no hook) is inert.
+type pauseBarrier struct {
+	pause func() (*obs.Span, bool)
+
+	mu            sync.Mutex
+	cond          sync.Cond
+	live, waiting int
+	gen           int // trips so far; a waiter leaves when it changes
+	span          *obs.Span
+	resume        bool
+}
+
+func newPauseBarrier(pause func() (*obs.Span, bool), live int) *pauseBarrier {
+	b := &pauseBarrier{pause: pause, live: live}
+	b.cond.L = &b.mu
+	return b
+}
+
+// wait blocks a paused restart until the barrier trips and returns the
+// hook's answer.
+func (b *pauseBarrier) wait() (*obs.Span, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.waiting++
+	if b.waiting == b.live {
+		b.tripLocked()
+	} else {
+		for gen := b.gen; gen == b.gen; {
+			b.cond.Wait()
+		}
+	}
+	return b.span, b.resume
+}
+
+// leave retires a restart that returned; if every other live restart
+// already waits, the leaver trips the barrier for them.
+func (b *pauseBarrier) leave() {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.live--
+	if b.waiting > 0 && b.waiting == b.live {
+		b.tripLocked()
+	}
+}
+
+// tripLocked calls the hook without holding b.mu (every live restart
+// waits, so none can arrive or leave meanwhile) and wakes the waiters.
+func (b *pauseBarrier) tripLocked() {
+	b.mu.Unlock()
+	sp, resume := b.pause()
+	b.mu.Lock()
+	b.span, b.resume = sp, resume
+	b.waiting = 0
+	b.gen++
+	b.cond.Broadcast()
 }
 
 // RestartCheckpointPath is the snapshot file of restart i in a

@@ -55,6 +55,10 @@ type Stats struct {
 // entry point designed for hot paths, AppendRun, is nil-safe too and
 // skips building the record entirely.
 type Store struct {
+	// wmu serializes the writers (Append, Compact, Close) and guards f;
+	// mu guards the index and counters and is never held across file
+	// I/O by Append, so lookups do not wait for an append's fsync.
+	wmu  sync.Mutex
 	mu   sync.Mutex
 	dir  string
 	path string
@@ -221,12 +225,14 @@ func (s *Store) Append(rec *Record) error {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if s.f == nil {
 		return fmt.Errorf("runstore: store is read-only")
 	}
+	s.mu.Lock()
 	rec.ID = fmt.Sprintf("r%08d", s.next)
+	s.mu.Unlock()
 	env := ckpt.Seal(RecordKind, rec.encode())
 	if _, err := s.f.Write(env); err != nil {
 		return fmt.Errorf("runstore: %w", err)
@@ -234,6 +240,8 @@ func (s *Store) Append(rec *Record) error {
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("runstore: %w", err)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.next++
 	s.bytes += int64(len(env))
 	s.index(*rec)
@@ -343,6 +351,8 @@ func (s *Store) Compact() error {
 	if s == nil {
 		return nil
 	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
@@ -396,8 +406,8 @@ func (s *Store) Close() error {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if s.f == nil {
 		return nil
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -31,8 +32,9 @@ type JobStatus struct {
 	// Cached is true when the result came from the content-addressed
 	// cache rather than a fresh engine run.
 	Cached bool `json:"cached"`
-	// Preemptions counts how many times the job was checkpointed off
-	// the workers by a higher-priority job.
+	// Preemptions counts how many times a higher-priority job took the
+	// job's workers: each time its engine parked in memory, queued,
+	// and later continued where it stopped.
 	Preemptions int `json:"preemptions"`
 
 	Submitted time.Time  `json:"submitted"`
@@ -89,11 +91,16 @@ type job struct {
 
 	state       string
 	workers     int  // granted demand, 1..budget
-	preemptible bool // anneals and sweeps checkpoint; evals are short and run through
-	preempting  bool // interrupt armed, waiting for the engine to unwind
+	preemptible bool // anneals and sweeps park; evals are short and run through
+	preempting  bool // interrupt armed, waiting for the engine to park
 	preemptions int
-	resume      bool   // next run continues from the checkpoint
-	ckptPath    string // per-job checkpoint file under the data dir
+	// intr is the engine's interrupt flag, armed to preempt or drain it
+	// and cleared when a parked engine resumes. wake is non-nil while
+	// the engine is parked in scheduler.pause: start sends the new run
+	// span on it, Drain closes it.
+	intr     atomic.Bool
+	wake     chan *obs.Span
+	runStart time.Time // start of the current run episode
 
 	cached    bool
 	submitted time.Time

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -15,19 +14,20 @@ import (
 	"repro/internal/rng"
 )
 
-// execute runs j's engine to completion (or to its interrupt) and
+// execute runs j's engine to completion (or until Drain stops it) and
 // returns the marshaled result. It holds no scheduler locks: the only
 // shared state it touches is the job's event log (internally locked),
-// the run-episode span (set before this goroutine launched) and the
-// interrupt flag.
-func (s *scheduler) execute(j *job, intr *atomic.Bool) (json.RawMessage, error) {
+// the run-episode span (set before this goroutine launched, and by
+// start before a parked engine resumes), the interrupt flag and, when
+// preempted, the pause hook, which takes the lock itself.
+func (s *scheduler) execute(j *job) (json.RawMessage, error) {
 	switch j.spec.Type {
 	case TypeEval:
 		return executeEval(j)
 	case TypeAnneal:
-		return s.executeAnneal(j, intr)
+		return s.executeAnneal(j)
 	case TypeSweep:
-		return s.executeSweep(j, intr)
+		return s.executeSweep(j)
 	}
 	return nil, fmt.Errorf("serve: unknown job type %q", j.spec.Type) // unreachable after normalize
 }
@@ -76,8 +76,7 @@ func executeEval(j *job) (json.RawMessage, error) {
 // the previous snapshot per restart and adds only the delta, so the
 // service counters stay monotone across concurrent jobs and restarts.
 // A snapshot that runs backwards means the engine's counters restarted
-// (a preempted job resumed: the cache state is not checkpointed) — the
-// whole new snapshot is fresh work then.
+// (a fresh cache) — the whole new snapshot is fresh work then.
 type logObserver struct {
 	log *eventLog
 	met *metrics // nil in tests that only want the event stream
@@ -118,7 +117,12 @@ func addDelta(c *obs.Counter, cur, prev int64) {
 	}
 }
 
-func (s *scheduler) executeAnneal(j *job, intr *atomic.Bool) (json.RawMessage, error) {
+// pauseHook is j's engine pause hook (see scheduler.pause).
+func (s *scheduler) pauseHook(j *job) func() (*obs.Span, bool) {
+	return func() (*obs.Span, bool) { return s.pause(j) }
+}
+
+func (s *scheduler) executeAnneal(j *job) (json.RawMessage, error) {
 	res := AnnealResult{Method: "annealed"}
 	var g *hsgraph.Graph
 	var met hsgraph.Metrics // the engine's own evaluation of g
@@ -127,15 +131,14 @@ func (s *scheduler) executeAnneal(j *job, intr *atomic.Bool) (json.RawMessage, e
 		// Inline start graph: anneal it directly (the client chose the
 		// topology to improve; core.Solve would generate its own start).
 		ao := opt.Options{
-			Iterations:     j.spec.Iterations,
-			Seed:           j.spec.Seed,
-			Workers:        j.workers,
-			TraceEnergy:    true, // results carry their convergence trace (run-store records reuse it)
-			Observer:       newLogObserver(j.log, s.met),
-			CheckpointPath: j.ckptPath,
-			Resume:         j.resume,
-			Interrupt:      intr,
-			Span:           j.runSpan,
+			Iterations:  j.spec.Iterations,
+			Seed:        j.spec.Seed,
+			Workers:     j.workers,
+			TraceEnergy: true, // results carry their convergence trace (run-store records reuse it)
+			Observer:    newLogObserver(j.log, s.met),
+			Interrupt:   &j.intr,
+			Pause:       s.pauseHook(j),
+			Span:        j.runSpan,
 		}
 		var annealRes opt.Result
 		var err error
@@ -152,17 +155,16 @@ func (s *scheduler) executeAnneal(j *job, intr *atomic.Bool) (json.RawMessage, e
 		met = annealRes.Best
 	} else {
 		top, err := core.Solve(j.spec.N, j.spec.R, core.Options{
-			Iterations:     j.spec.Iterations,
-			Restarts:       j.spec.Restarts,
-			Seed:           j.spec.Seed,
-			FixedM:         j.spec.M,
-			Workers:        j.workers,
-			TraceEnergy:    true,
-			Observer:       newLogObserver(j.log, s.met),
-			CheckpointPath: j.ckptPath,
-			Resume:         j.resume,
-			Interrupt:      intr,
-			Span:           j.runSpan,
+			Iterations:  j.spec.Iterations,
+			Restarts:    j.spec.Restarts,
+			Seed:        j.spec.Seed,
+			FixedM:      j.spec.M,
+			Workers:     j.workers,
+			TraceEnergy: true,
+			Observer:    newLogObserver(j.log, s.met),
+			Interrupt:   &j.intr,
+			Pause:       s.pauseHook(j),
+			Span:        j.runSpan,
 		})
 		if err != nil {
 			return nil, err
@@ -188,21 +190,20 @@ func (s *scheduler) executeAnneal(j *job, intr *atomic.Bool) (json.RawMessage, e
 	return encodeResult(j, res)
 }
 
-func (s *scheduler) executeSweep(j *job, intr *atomic.Bool) (json.RawMessage, error) {
+func (s *scheduler) executeSweep(j *job) (json.RawMessage, error) {
 	g, err := concreteGraph(j)
 	if err != nil {
 		return nil, err
 	}
 	so := fault.SweepOptions{
-		Model:          j.model,
-		Fractions:      j.spec.Fractions,
-		Trials:         j.spec.Trials,
-		Seed:           j.spec.Seed,
-		Workers:        j.workers,
-		CheckpointPath: j.ckptPath,
-		Resume:         j.resume,
-		Interrupt:      intr,
-		Span:           j.runSpan,
+		Model:     j.model,
+		Fractions: j.spec.Fractions,
+		Trials:    j.spec.Trials,
+		Seed:      j.spec.Seed,
+		Workers:   j.workers,
+		Interrupt: &j.intr,
+		Pause:     s.pauseHook(j),
+		Span:      j.runSpan,
 		OnTrial: func(p fault.TrialProgress) {
 			j.log.Append(obs.Event{T: p.Seconds, Kind: obs.KindSweepTrial, F: map[string]float64{
 				"fraction":       p.Fraction,

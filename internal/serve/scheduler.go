@@ -6,12 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/buildinfo"
@@ -46,9 +43,11 @@ func (h *jobHeap) Pop() any {
 // scheduler owns the queue, the worker budget and every job record. One
 // budget is shared by all concurrent jobs: a job "demands" its granted
 // worker count while running, and a queued job that cannot fit preempts
-// strictly-lower-priority checkpointable jobs to make room (elastic
-// scheduling — the preempted work is not lost, it resumes from its
-// snapshot bit-identically once capacity frees up).
+// strictly-lower-priority anneals and sweeps to make room (elastic
+// scheduling). A preempted engine parks: it stops at its interrupt,
+// hands its workers back and waits in memory, queued, until capacity
+// frees up; then it continues where it stopped, bit-identically, on
+// the goroutine it never left (see pause).
 //
 // Scheduling is strict priority with no backfill: while the
 // highest-priority queued job waits for workers, nothing behind it
@@ -62,25 +61,28 @@ func (h *jobHeap) Pop() any {
 // disjoint intervals — including across preemptions.
 type scheduler struct {
 	mu        sync.Mutex
-	cond      *sync.Cond // broadcast on every running-set change (drain waits on it)
+	cond      *sync.Cond // broadcast when an engine goroutine exits (drain waits on it)
 	budget    int
 	free      int
 	seq       uint64
 	jobs      map[string]*job
 	order     []*job // submission order, for listing
 	queue     jobHeap
-	running   map[*job]*atomic.Bool // job -> its current interrupt flag
+	running   map[*job]struct{} // jobs holding workers
+	engines   int               // live engine goroutines: running, parked or appending
 	cache     *resultCache
 	store     *runstore.Store // nil when no -store dir is configured
-	dataDir   string
 	met       *metrics
 	retention time.Duration // 0 = keep finished jobs forever
 	drained   bool
 
 	clock func() time.Time // test hook; time.Now in production
+	// appendHook, when a test sets it, runs in the job's goroutine just
+	// before its run-store append, without the scheduler lock.
+	appendHook func(*job)
 }
 
-func newScheduler(budget int, cache *resultCache, store *runstore.Store, dataDir string, met *metrics, retention time.Duration) *scheduler {
+func newScheduler(budget int, cache *resultCache, store *runstore.Store, met *metrics, retention time.Duration) *scheduler {
 	if budget < 1 {
 		budget = runtime.GOMAXPROCS(0)
 	}
@@ -88,10 +90,9 @@ func newScheduler(budget int, cache *resultCache, store *runstore.Store, dataDir
 		budget:    budget,
 		free:      budget,
 		jobs:      make(map[string]*job),
-		running:   make(map[*job]*atomic.Bool),
+		running:   make(map[*job]struct{}),
 		cache:     cache,
 		store:     store,
-		dataDir:   dataDir,
 		met:       met,
 		retention: retention,
 		clock:     time.Now,
@@ -183,9 +184,6 @@ func (s *scheduler) Submit(spec JobSpec) (JobStatus, error) {
 	s.met.misses.Inc()
 
 	j.doneCh = make(chan struct{})
-	if s.dataDir != "" {
-		j.ckptPath = filepath.Join(s.dataDir, j.id+".orpc")
-	}
 	j.state = StateQueued
 	s.enqueueLocked(j)
 	s.schedule()
@@ -249,10 +247,9 @@ func (s *scheduler) schedule() {
 	}
 }
 
-// start transitions j to running and launches its engine goroutine.
-// Caller holds s.mu.
+// start transitions j to running: a parked engine continues in memory,
+// anything else gets a new engine goroutine. Caller holds s.mu.
 func (s *scheduler) start(j *job) {
-	intr := &atomic.Bool{}
 	s.free -= j.workers
 	j.state = StateRunning
 	j.preempting = false
@@ -260,9 +257,9 @@ func (s *scheduler) start(j *job) {
 	if j.started == nil {
 		j.started = &now
 	}
-	s.running[j] = intr
+	j.runStart = time.Now()
+	s.running[j] = struct{}{}
 	s.met.workersBusy.Set(float64(s.budget - s.free))
-	s.cond.Broadcast()
 
 	// Close this queue-wait episode: span + per-priority histogram.
 	j.waitSpan.End()
@@ -271,16 +268,26 @@ func (s *scheduler) start(j *job) {
 
 	// Open the run episode; the engine goroutine owns it until it ends
 	// it (done, failed or preempted).
+	resume := j.wake != nil
 	j.runSpan = j.root.Child("run")
 	j.runSpan.SetF("episode", float64(j.preemptions))
 	j.runSpan.SetF("workers", float64(j.workers))
-	j.runSpan.SetF("resume", b2f(j.resume))
+	j.runSpan.SetF("resume", b2f(resume))
 
 	j.log.Append(obs.Event{Kind: KindJobRunning, F: map[string]float64{
 		"priority": float64(j.spec.Priority), "workers": float64(j.workers),
-		"resume": b2f(j.resume),
+		"resume": b2f(resume),
 	}})
-	go s.run(j, intr)
+	if resume {
+		// The parked engine waits in pause: clear its interrupt, then
+		// hand it the new run span (the channel has room for it).
+		j.intr.Store(false)
+		j.wake <- j.runSpan
+		j.wake = nil
+		return
+	}
+	s.engines++
+	go s.run(j)
 }
 
 // preemptFor arms interrupts on strictly-lower-priority preemptible
@@ -296,7 +303,7 @@ func (s *scheduler) preemptFor(top *job) {
 			projected += j.workers // already unwinding; its workers are coming back
 			continue
 		}
-		if j.preemptible && j.spec.Priority < top.spec.Priority && j.ckptPath != "" {
+		if j.preemptible && j.spec.Priority < top.spec.Priority {
 			victims = append(victims, j)
 		}
 	}
@@ -316,7 +323,7 @@ func (s *scheduler) preemptFor(top *job) {
 			break
 		}
 		v.preempting = true
-		s.running[v].Store(true)
+		v.intr.Store(true)
 		projected += v.workers
 		s.met.preemptions.Inc()
 	}
@@ -329,39 +336,81 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// run executes j's engine off the scheduler lock and routes the outcome:
-// interrupted-and-preempting jobs go back to the queue (to resume from
-// their checkpoint), everything else completes.
-func (s *scheduler) run(j *job, intr *atomic.Bool) {
-	started := time.Now()
-	result, err := s.execute(j, intr)
-	elapsed := time.Since(started).Seconds()
-
+// pause is the engines' pause hook (opt.Options.Pause and
+// fault.SweepOptions.Pause): it runs in j's engine goroutine once the
+// engine stopped at its interrupt. It ends the run episode, hands j's
+// workers back and re-queues j, then blocks until start resumes j in
+// place, answering with the new run episode's span, or Drain stops it.
+// While it waits the job keeps its memory: graphs, caches, evaluators.
+func (s *scheduler) pause(j *job) (*obs.Span, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.releaseLocked(j)
+	j.state = StateQueued
+	j.preempting = false
+	j.preemptions++
+	j.runSpan.SetS("outcome", "preempted")
+	j.runSpan.End()
+	j.runSpan = nil
+	j.log.Append(obs.Event{T: time.Since(j.runStart).Seconds(), Kind: KindJobPreempted, F: map[string]float64{
+		"preemptions": float64(j.preemptions),
+	}})
+	s.enqueueLocked(j)
+	if s.drained {
+		s.mu.Unlock()
+		return nil, false
+	}
+	wake := make(chan *obs.Span, 1)
+	j.wake = wake
+	s.schedule()
+	s.mu.Unlock()
+	sp, resume := <-wake // closed by Drain: stop
+	return sp, resume
+}
+
+// releaseLocked hands j's workers back to the budget. Caller holds s.mu.
+func (s *scheduler) releaseLocked(j *job) {
 	delete(s.running, j)
 	s.free += j.workers
 	s.met.workersBusy.Set(float64(s.budget - s.free))
-	s.cond.Broadcast()
+}
 
-	if err != nil && errors.Is(err, ckpt.ErrInterrupted) && (j.preempting || s.drained) {
-		// Preempted (or drained): the engine flushed its snapshot. The
-		// job re-queues and its next run resumes bit-identically.
-		j.state = StateQueued
-		j.preempting = false
-		j.resume = true
-		j.preemptions++
-		j.runSpan.SetS("outcome", "preempted")
-		j.runSpan.End()
-		j.runSpan = nil
-		j.log.Append(obs.Event{T: elapsed, Kind: KindJobPreempted, F: map[string]float64{
-			"preemptions": float64(j.preemptions),
-		}})
-		s.enqueueLocked(j)
-		s.schedule()
+// run is j's engine goroutine. It runs the engine off the scheduler
+// lock (parking in pause when preempted), hands the workers back and
+// schedules, appends a successful run to the store, still off the lock,
+// and only then marks j done: a job a client sees done is in the store.
+func (s *scheduler) run(j *job) {
+	result, err := s.execute(j)
+
+	s.mu.Lock()
+	if errors.Is(err, ckpt.ErrInterrupted) && j.state == StateQueued {
+		// Drain answered pause with stop: j is already re-queued and
+		// its workers are back.
+		s.exitLocked()
+		s.mu.Unlock()
 		return
 	}
+	elapsed := time.Since(j.runStart).Seconds()
+	s.releaseLocked(j)
+	s.schedule()
+	if err == nil {
+		s.mu.Unlock()
+		s.appendRun(j, result)
+		s.mu.Lock()
+	}
+	s.finishLocked(j, result, err, elapsed)
+	s.exitLocked()
+	s.mu.Unlock()
+}
 
+// exitLocked counts an engine goroutine out. Caller holds s.mu.
+func (s *scheduler) exitLocked() {
+	s.engines--
+	s.cond.Broadcast()
+}
+
+// finishLocked marks j done (caching its result) or failed, closes its
+// trace and event log and compacts the record. Caller holds s.mu.
+func (s *scheduler) finishLocked(j *job, result json.RawMessage, err error, elapsed float64) {
 	now := s.clock()
 	j.finished = &now
 	if err != nil {
@@ -379,9 +428,6 @@ func (s *scheduler) run(j *job, intr *atomic.Bool) {
 		j.runSpan.End()
 	}
 	j.runSpan = nil
-	if j.ckptPath != "" {
-		removeCheckpoints(j.ckptPath, j.spec.Restarts)
-	}
 	s.met.jobSeconds.Observe(elapsed)
 	j.root.SetF("preemptions", float64(j.preemptions))
 	if j.err != nil {
@@ -392,34 +438,37 @@ func (s *scheduler) run(j *job, intr *atomic.Bool) {
 	j.root.End()
 	j.log.Close(jobDoneEvent(j, elapsed))
 	close(j.doneCh)
-	if err == nil {
-		s.recordRunLocked(j)
-	}
 	j.release()
-	s.schedule()
 }
 
 // release drops what a finished job no longer needs: the parsed inline
-// graph and its text, the checkpoint path, and the tracer and spans,
-// whose events the log already holds encoded. The record stays
-// queryable: it keeps its status, its result bytes (shared with the
-// result cache) and its encoded event lines. Caller holds s.mu.
+// graph and its text, and the tracer and spans, whose events the log
+// already holds encoded. The record stays queryable: it keeps its
+// status, its result bytes (shared with the result cache) and its
+// encoded event lines. Caller holds s.mu.
 func (j *job) release() {
 	j.graph = nil
 	j.spec.Graph = ""
-	j.ckptPath = ""
 	j.tracer, j.root, j.waitSpan, j.runSpan = nil, nil, nil, nil
 }
 
-// recordRunLocked appends a finished job to the persistent run store.
-// Called after the job's root span ended (so the event log holds the
-// complete wall-time decomposition) and only on success — failed jobs
-// and cache hits are not history. The append is synchronous under the
-// scheduler lock: one write+fsync per completed engine run, a rate the
-// scheduler cannot outpace. A nil store skips everything, including
-// building the record. Caller holds s.mu.
-func (s *scheduler) recordRunLocked(j *job) {
-	storeErr := s.store.AppendRun(func() runstore.Record {
+// appendRun appends a successful run to the persistent run store, in
+// the job's goroutine and without the scheduler lock, under a
+// store.append span inside the job's last run episode. Failed jobs and
+// cache hits are not history. The record's phases are the job's trace
+// so far: the run episode and the job span are still open, so they are
+// read as of now (obs.Span.Peek). A nil store skips everything,
+// including building the record.
+func (s *scheduler) appendRun(j *job, result json.RawMessage) {
+	if s.store == nil {
+		return
+	}
+	sp := j.runSpan.Child("store.append")
+	if s.appendHook != nil {
+		s.appendHook(j)
+	}
+	finished := s.clock()
+	err := s.store.AppendRun(func() runstore.Record {
 		// The result payload is schema-typed per job type, but every
 		// schema shares the fingerprint/graph envelope (and anneals add
 		// the convergence trace); probe just those fields.
@@ -431,9 +480,10 @@ func (s *scheduler) recordRunLocked(j *job) {
 				EnergyTraceStride int
 			} `json:"anneal"`
 		}
-		_ = json.Unmarshal(j.result, &probe)
+		_ = json.Unmarshal(result, &probe)
+		events := append(j.log.Snapshot(), j.root.Peek(), j.runSpan.Peek())
 		rec := runstore.Record{
-			Unix:        time.Now().UnixNano(),
+			Unix:        finished.UnixNano(),
 			Tool:        "orpd",
 			Kind:        j.spec.Type,
 			Build:       buildinfo.Get().String(),
@@ -451,9 +501,9 @@ func (s *scheduler) recordRunLocked(j *job) {
 				TotalPath:      probe.Graph.TotalPath,
 				ReachablePairs: probe.Graph.ReachablePairs,
 			},
-			Phases:      runstore.PhasesFromDurations(obs.PhaseDurations(j.log.Snapshot())),
-			WallSeconds: j.finished.Sub(j.submitted).Seconds(),
-			Result:      j.result,
+			Phases:      runstore.PhasesFromDurations(obs.PhaseDurations(events)),
+			WallSeconds: finished.Sub(j.submitted).Seconds(),
+			Result:      result,
 		}
 		if probe.Anneal != nil {
 			rec.EnergyTrace = probe.Anneal.EnergyTrace
@@ -461,10 +511,8 @@ func (s *scheduler) recordRunLocked(j *job) {
 		}
 		return rec
 	})
-	if s.store == nil {
-		return
-	}
-	if storeErr != nil {
+	sp.Fail(err)
+	if err != nil {
 		s.met.storeErrors.Inc()
 		return
 	}
@@ -481,17 +529,6 @@ func jobDoneEvent(j *job, elapsed float64) obs.Event {
 		e.S = map[string]string{"error": j.err.Error()}
 	}
 	return e
-}
-
-// removeCheckpoints deletes a finished job's snapshot files (multi-
-// restart anneals write one per restart via opt.RestartCheckpointPath).
-func removeCheckpoints(path string, restarts int) {
-	os.Remove(path)
-	if restarts > 1 {
-		for i := 0; i < restarts; i++ {
-			os.Remove(fmt.Sprintf("%s.r%d", path, i))
-		}
-	}
 }
 
 // gcLocked drops finished job records older than the retention window.
@@ -586,17 +623,25 @@ func (j *job) statusLocked(s *scheduler) JobStatus {
 }
 
 // Drain stops the scheduler: new submissions are rejected, queued jobs
-// stay queued, and running preemptible jobs are interrupted so they
-// flush their checkpoints (their snapshots survive under the data dir;
-// a later process can resubmit and resume). Blocks until every running
-// engine unwound or ctx expired.
+// stay queued, and every engine stops without a snapshot: running
+// anneals and sweeps are interrupted and their pause hook answers stop,
+// parked ones are answered stop where they wait. Both end re-queued
+// (orpd never resumed a job across processes; a resubmission reruns
+// it). Evals and jobs past their engine finish, store append included.
+// Blocks until every engine goroutine exited or ctx expired.
 func (s *scheduler) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.drained = true
-	for j, intr := range s.running {
+	for j := range s.running {
 		if j.preemptible {
 			j.preempting = true
-			intr.Store(true)
+			j.intr.Store(true)
+		}
+	}
+	for _, j := range s.queue {
+		if j.wake != nil {
+			close(j.wake)
+			j.wake = nil
 		}
 	}
 	s.mu.Unlock()
@@ -611,11 +656,11 @@ func (s *scheduler) Drain(ctx context.Context) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(s.running) > 0 && ctx.Err() == nil {
+	for s.engines > 0 && ctx.Err() == nil {
 		s.cond.Wait()
 	}
-	if len(s.running) > 0 {
-		return fmt.Errorf("serve: drain deadline passed with %d jobs still running", len(s.running))
+	if s.engines > 0 {
+		return fmt.Errorf("serve: drain deadline passed with %d engines still running", s.engines)
 	}
 	return nil
 }

@@ -20,9 +20,6 @@ import (
 
 func testServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	if cfg.DataDir == "" {
-		cfg.DataDir = t.TempDir()
-	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -515,8 +512,8 @@ func TestDrainRejectsAndUnwinds(t *testing.T) {
 	if _, err := s.Submit(JobSpec{Type: TypeEval, N: 8, M: 2, R: 5, GraphSeed: 1}); err != ErrDraining {
 		t.Fatalf("submit after drain: %v", err)
 	}
-	// The interrupted job is back in queued state with its checkpoint
-	// flushed, ready for a future process to resume.
+	// The interrupted job is back in queued state; its engine stopped
+	// without a snapshot (a new process reruns a resubmission).
 	got, _ := s.sched.Get(st.ID)
 	if got.State != StateQueued || got.Preemptions != 1 {
 		t.Fatalf("after drain: state %s preemptions %d", got.State, got.Preemptions)

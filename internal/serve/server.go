@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"strconv"
 	"time"
 
@@ -17,7 +16,7 @@ import (
 )
 
 // Config configures a Server. The zero value is usable: GOMAXPROCS
-// workers, a 1024-entry cache, checkpoints in a fresh temp dir.
+// workers, a 1024-entry cache, no run store.
 type Config struct {
 	// Workers is the global worker budget shared by every concurrent
 	// job. 0 means GOMAXPROCS.
@@ -26,8 +25,10 @@ type Config struct {
 	// The cache is load-bearing for the service's latency contract, so
 	// it cannot be disabled; values < 1 are treated as a 1-entry cache.
 	CacheSize int
-	// DataDir holds per-job checkpoint files. "" creates a temp dir
-	// owned by the server (removed on Close).
+	// DataDir is ignored: preempted jobs park in memory and orpd writes
+	// no checkpoint files.
+	//
+	// Deprecated: DataDir selects nothing.
 	DataDir string
 	// StoreDir, when non-empty, enables the persistent run store
 	// (internal/runstore): every completed job is appended as a durable
@@ -84,7 +85,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		failed:      reg.Counter("orpd_jobs_failed_total", "Jobs that ended in an error."),
 		hits:        reg.Counter("orpd_cache_hits_total", "Submissions answered from the result cache."),
 		misses:      reg.Counter("orpd_cache_misses_total", "Submissions that had to run an engine."),
-		preemptions: reg.Counter("orpd_preemptions_total", "Checkpoint preemptions of running jobs."),
+		preemptions: reg.Counter("orpd_preemptions_total", "Preemptions of running jobs: each parks its engine in memory until workers free up."),
 		evicted:     reg.Counter("orpd_jobs_evicted_total", "Finished job records dropped by retention GC."),
 		queueDepth:  reg.Gauge("orpd_queue_depth", "Jobs waiting for workers."),
 		workersBusy: reg.Gauge("orpd_workers_busy", "Workers currently granted to running jobs."),
@@ -156,8 +157,6 @@ type Server struct {
 	store   *runstore.Store // nil without Config.StoreDir
 	met     *metrics
 	mux     *http.ServeMux
-	dataDir string
-	ownsDir bool
 	started time.Time
 }
 
@@ -166,16 +165,6 @@ func New(cfg Config) (*Server, error) {
 	size := cfg.CacheSize
 	if size == 0 {
 		size = 1024
-	}
-	dataDir, ownsDir := cfg.DataDir, false
-	if dataDir == "" {
-		d, err := os.MkdirTemp("", "orpd-*")
-		if err != nil {
-			return nil, fmt.Errorf("serve: data dir: %w", err)
-		}
-		dataDir, ownsDir = d, true
-	} else if err := os.MkdirAll(dataDir, 0o755); err != nil {
-		return nil, fmt.Errorf("serve: data dir: %w", err)
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -188,9 +177,6 @@ func New(cfg Config) (*Server, error) {
 		var err error
 		store, err = runstore.Open(cfg.StoreDir)
 		if err != nil {
-			if ownsDir {
-				os.RemoveAll(dataDir)
-			}
 			return nil, fmt.Errorf("serve: run store: %w", err)
 		}
 		st := store.Stats()
@@ -198,12 +184,10 @@ func New(cfg Config) (*Server, error) {
 		met.storeSkipped.Set(float64(st.SkippedRecords))
 	}
 	s := &Server{
-		sched:   newScheduler(cfg.Workers, cache, store, dataDir, met, cfg.Retention),
+		sched:   newScheduler(cfg.Workers, cache, store, met, cfg.Retention),
 		cache:   cache,
 		store:   store,
 		met:     met,
-		dataDir: dataDir,
-		ownsDir: ownsDir,
 		started: time.Now(),
 	}
 	s.mux = s.buildMux()
@@ -297,16 +281,14 @@ func (s *Server) Wait(ctx context.Context, id string) (JobStatus, error) {
 // Drain gracefully stops the scheduler: see scheduler.Drain.
 func (s *Server) Drain(ctx context.Context) error { return s.sched.Drain(ctx) }
 
-// Close drains with a short deadline and removes the owned data dir.
+// Close drains with a short deadline, so in-flight run-store appends
+// finish, and closes the run store.
 func (s *Server) Close() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	err := s.Drain(ctx)
 	if cerr := s.store.Close(); err == nil {
 		err = cerr
-	}
-	if s.ownsDir {
-		os.RemoveAll(s.dataDir)
 	}
 	return err
 }

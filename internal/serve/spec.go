@@ -5,9 +5,10 @@
 //
 //   - a priority queue in front of one global worker budget, shared by
 //     every concurrent job (elastic scheduling: a high-priority job
-//     preempts lower-priority anneals and sweeps through their
-//     crash-safe checkpoints, and the preempted jobs later resume
-//     bit-identically),
+//     preempts lower-priority anneals and sweeps, which park in memory,
+//     keeping their state, and later continue where they stopped,
+//     bit-identically; orpd writes no checkpoint files, and Drain stops
+//     running and parked engines without snapshots),
 //   - a content-addressed result cache keyed on the canonical job
 //     identity (graph fingerprint + result-defining options), so a
 //     repeated design query is answered from memory with byte-identical
@@ -43,7 +44,7 @@ type JobSpec struct {
 	Type string `json:"type"`
 	// Priority orders the queue: higher runs first, and a job that
 	// cannot fit in the worker budget preempts strictly-lower-priority
-	// preemptible jobs (anneals and sweeps, via their checkpoints).
+	// preemptible jobs (anneals and sweeps, which park in memory).
 	// Equal-priority jobs run FIFO and never preempt each other.
 	Priority int `json:"priority,omitempty"`
 	// Workers is this job's demand on the server's worker budget

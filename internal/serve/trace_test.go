@@ -39,8 +39,8 @@ func jobSpanTree(t *testing.T, s *Server, id string) *obs.SpanNode {
 // preempted-then-resumed anneal's trace decomposes ≥95% of the job's
 // wall time into non-overlapping top-level phases (admission,
 // cache.lookup, alternating queue.wait and run episodes), with the
-// engine's stage spans and the encode span nested under the run
-// episodes.
+// engine's stage spans and the encode span nested under, and within,
+// the run episodes.
 func TestJobTraceDecomposition(t *testing.T) {
 	s := testServer(t, Config{Workers: 1})
 	ast, err := s.Submit(JobSpec{
@@ -119,6 +119,14 @@ func TestJobTraceDecomposition(t *testing.T) {
 			t.Errorf("run episodes are missing a nested %q span: %v", want, nested)
 		}
 	}
+	// ...and stay inside them: a parked engine ends its stage spans
+	// before it waits and opens the next under the new episode, so no
+	// engine span straddles a queue.wait.
+	for _, c := range root.Children {
+		if c.Name == "run" {
+			requireWithin(t, c)
+		}
+	}
 
 	// The same stream renders as a Chrome trace and a waterfall.
 	log, _ := s.sched.Events(ast.ID)
@@ -131,6 +139,20 @@ func TestJobTraceDecomposition(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "queue.wait") {
 		t.Errorf("waterfall rendering lost the phases:\n%s", sb.String())
+	}
+}
+
+// requireWithin asserts that every descendant of n lies within its
+// parent's interval.
+func requireWithin(t *testing.T, n *obs.SpanNode) {
+	t.Helper()
+	const eps = 1e-6
+	for _, c := range n.Children {
+		if c.Start < n.Start-eps || c.End() > n.End()+eps {
+			t.Errorf("%s [%.6f, %.6f] escapes its parent %s [%.6f, %.6f]",
+				c.Name, c.Start, c.End(), n.Name, n.Start, n.End())
+		}
+		requireWithin(t, c)
 	}
 }
 
