@@ -196,18 +196,7 @@ func runSweep(g *hsgraph.Graph, m fault.Model, fracSpec string, trials int, seed
 				fmt.Fprintf(os.Stderr, "trial %3d/%d  frac %.3g #%d  %.3fs  surviving h-ASPL %.6f\n",
 					p.Done, p.Total, p.Fraction, p.Trial, p.Seconds, p.Result.SurvivingHASPL)
 			}
-			sink.Emit(obs.Event{T: p.Seconds, Kind: obs.KindSweepTrial, F: map[string]float64{
-				"fraction":       p.Fraction,
-				"trial":          float64(p.Trial),
-				"done":           float64(p.Done),
-				"total":          float64(p.Total),
-				"seconds":        p.Seconds,
-				"survivingHASPL": p.Result.SurvivingHASPL,
-				"stretch":        p.Result.Stretch,
-				"reachableFrac":  p.Result.ReachableFrac,
-				"failedLinks":    float64(p.Result.FailedLinks),
-				"failedSwitches": float64(p.Result.FailedSwitches),
-			}})
+			sink.Emit(p.Event())
 		}
 	}
 	sweepStart := time.Now()

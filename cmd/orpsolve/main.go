@@ -7,7 +7,7 @@
 // Usage:
 //
 //	orpsolve -n 1024 -r 15 [-iters 100000] [-restarts 4] [-workers 0]
-//	         [-seed 1] [-m 0] [-moves 2ns|swap|swing] [-o graph.hsg] [-v]
+//	         [-seed 1] [-m 0] [-moves 2ns|swap|swing] [-o graph.hsg]
 //	         [-progress] [-trace-out anneal.jsonl] [-metrics-addr 127.0.0.1:0]
 //	         [-checkpoint run.ckpt] [-checkpoint-every 10000] [-resume]
 //	         [-store runs/]
@@ -56,7 +56,6 @@ func main() {
 		symmetry = flag.Int("symmetry", 0, "search only graphs closed under a cyclic group action of this order (0 = off)")
 		out      = flag.String("o", "", "output file for the graph (default stdout)")
 		dfs      = flag.Bool("dfs", true, "relabel hosts in depth-first order (paper §6.2.1)")
-		verbose  = flag.Bool("v", false, "print annealing progress")
 		repeat   = flag.Int("repeat", 1, "solve with this many consecutive seeds and report h-ASPL statistics")
 
 		progress    = flag.Bool("progress", false, "print per-interval anneal telemetry (temperature, accept rate, moves/s) to stderr")
@@ -186,11 +185,6 @@ func main() {
 	// samples: orptrace renders the waterfall from the same file.
 	root := cliutil.TeeTracer("orpsolve", sink, spans).Root("solve")
 	o.Span = root
-	if *verbose && *restarts <= 1 {
-		o.OnProgress = func(iter int, cur, best int64) {
-			fmt.Fprintf(os.Stderr, "iter %8d  current %12d  best %12d\n", iter, cur, best)
-		}
-	}
 	solveStart := time.Now()
 	var top *core.Topology
 	if *repeat > 1 {
@@ -199,7 +193,6 @@ func main() {
 		for i := 0; i < *repeat; i++ {
 			oi := o
 			oi.Seed = o.Seed + uint64(i)
-			oi.OnProgress = nil
 			seedStart, seedCPU := time.Now(), cliutil.CPUSeconds()
 			ti, err := core.Solve(*n, *r, oi)
 			if err != nil {

@@ -86,15 +86,13 @@ type Options struct {
 	// (~Symmetry× fewer). The single-switch and clique regimes are already
 	// provably optimal and ignore this field.
 	Symmetry int
-	// OnProgress is forwarded to the annealer (single-restart runs only).
-	OnProgress func(iter int, current, best int64)
 	// Observer receives per-interval anneal telemetry (every ReportEvery
 	// iterations; see opt.Observer). With Restarts > 1 every restart
 	// samples into it, tagged by AnnealSample.Restart, so implementations
 	// must be concurrency-safe.
 	Observer opt.Observer
-	// ReportEvery is the sampling interval for Observer/OnProgress in
-	// iterations (0 = the annealer's default, 1000).
+	// ReportEvery is the sampling interval for Observer in iterations
+	// (0 = the annealer's default, 1000).
 	ReportEvery int
 	// TraceEnergy records a bounded best-energy convergence trace into
 	// Topology.Anneal.EnergyTrace (see opt.Options.TraceEnergy).
@@ -218,7 +216,6 @@ func Solve(n, r int, o Options) (*Topology, error) {
 		Seed:            o.Seed + 1,
 		Workers:         o.Workers,
 		Symmetry:        o.Symmetry,
-		OnProgress:      o.OnProgress,
 		Observer:        o.Observer,
 		ReportEvery:     o.ReportEvery,
 		TraceEnergy:     o.TraceEnergy,

@@ -170,7 +170,7 @@ func TestSolveProgressForwarded(t *testing.T) {
 	_, err := Solve(72, 8, Options{
 		Iterations: 2000,
 		Seed:       7,
-		OnProgress: func(iter int, cur, best int64) { calls++ },
+		Observer:   opt.ObserverFunc(func(opt.AnnealSample) { calls++ }),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -86,6 +86,24 @@ type TrialProgress struct {
 	Result    Result  // the trial's measurements
 }
 
+// Event encodes the report as one sweep.trial event with the field keys
+// obs/schema.go lists. orpfault's trace files and orpd's job streams both
+// write it.
+func (p TrialProgress) Event() obs.Event {
+	return obs.Event{T: p.Seconds, Kind: obs.KindSweepTrial, F: map[string]float64{
+		"fraction":       p.Fraction,
+		"trial":          float64(p.Trial),
+		"done":           float64(p.Done),
+		"total":          float64(p.Total),
+		"seconds":        p.Seconds,
+		"survivingHASPL": p.Result.SurvivingHASPL,
+		"stretch":        p.Result.Stretch,
+		"reachableFrac":  p.Result.ReachableFrac,
+		"failedLinks":    float64(p.Result.FailedLinks),
+		"failedSwitches": float64(p.Result.FailedSwitches),
+	}}
+}
+
 // SweepMetrics publishes live sweep state into an obs.Registry.
 type SweepMetrics struct {
 	TrialsCompleted *obs.Counter

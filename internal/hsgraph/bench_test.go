@@ -43,13 +43,15 @@ func BenchmarkEvaluator(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalMove times single-worker IncrementalEvaluator moves
-// on a fixed script of edge removals, at bench/'s design cell (n=1024,
-// m=195, r=15) and scale cell (n=16384, m=4060, r=16, 4-fold symmetry,
-// orbit mode, whole-orbit edits). rejected is edit, PeekEnergy, revert;
-// accepted is edit, PeekEnergy, Energy (the commit), and then the same
-// for the re-addition, so every op ends on the start graph. Each peek and
-// commit must equal EvaluateSlow's energy, recorded at set-up.
+// BenchmarkIncrementalMove times IncrementalEvaluator moves on a fixed
+// script of edge removals, at bench/'s design cell (n=1024, m=195, r=15)
+// and scale cell (n=16384, m=4060, r=16, 4-fold symmetry, orbit mode,
+// whole-orbit edits), over an Evaluator of one worker and of GOMAXPROCS
+// workers, the pool an anneal's cache runs on. rejected is edit,
+// PeekEnergy, revert; accepted is edit, PeekEnergy, Energy (the commit),
+// and then the same for the re-addition, so every op ends on the start
+// graph. Each peek and commit must equal EvaluateSlow's energy, recorded
+// at set-up.
 func BenchmarkIncrementalMove(b *testing.B) {
 	cells := []struct {
 		name       string
@@ -62,6 +64,10 @@ func BenchmarkIncrementalMove(b *testing.B) {
 		{"scale/n=16384,r=16,g=4", 4, 8, func() (*hsgraph.Graph, error) {
 			return topo.RandomSymmetric(16384, 4060, 16, 4, 1)
 		}},
+	}
+	workers := []int{1}
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		workers = append(workers, p)
 	}
 	for _, c := range cells {
 		b.Run(c.name, func(b *testing.B) {
@@ -77,45 +83,59 @@ func BenchmarkIncrementalMove(b *testing.B) {
 				removed[i] = slowEnergy(g)
 				toggleOrbit(b, g, c.sym, e)
 			}
-			attach := func() *hsgraph.IncrementalEvaluator {
-				ie := hsgraph.NewOrbitIncrementalEvaluator(1, c.sym)
-				if got := commit(ie, g); got != base {
-					b.Fatalf("attach: energy %+v, want %+v", got, base)
-				}
-				return ie
+			for _, w := range workers {
+				b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+					benchMoves(b, g, c.sym, w, script, base, removed)
+				})
 			}
-			b.Run("rejected", func(b *testing.B) {
-				ie := attach()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for j, e := range script {
-						toggleOrbit(b, g, c.sym, e)
-						peekCheck(b, ie, g, removed[j])
-						toggleOrbit(b, g, c.sym, e)
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N*len(script)), "ns/move")
-			})
-			b.Run("accepted", func(b *testing.B) {
-				ie := attach()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for j, e := range script {
-						for _, want := range []energy{removed[j], base} {
-							toggleOrbit(b, g, c.sym, e)
-							peekCheck(b, ie, g, want)
-							if got := commit(ie, g); got != want {
-								b.Fatalf("commit: energy %+v, want %+v", got, want)
-							}
-						}
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(2*b.N*len(script)), "ns/move")
-			})
 		})
 	}
+}
+
+// benchMoves runs BenchmarkIncrementalMove's rejected and accepted moves
+// over an Evaluator of the given workers.
+func benchMoves(b *testing.B, g *hsgraph.Graph, sym, workers int, script [][2]int, base energy, removed []energy) {
+	ev := hsgraph.NewEvaluator(workers)
+	defer ev.Close()
+	attach := func() *hsgraph.IncrementalEvaluator {
+		ie := hsgraph.NewIncrementalEvaluator(ev, sym)
+		if got := commit(ie, g); got != base {
+			b.Fatalf("attach: energy %+v, want %+v", got, base)
+		}
+		return ie
+	}
+	b.Run("rejected", func(b *testing.B) {
+		ie := attach()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j, e := range script {
+				toggleOrbit(b, g, sym, e)
+				peekCheck(b, ie, g, removed[j])
+				toggleOrbit(b, g, sym, e)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N*len(script)), "ns/move")
+	})
+	b.Run("accepted", func(b *testing.B) {
+		ie := attach()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j, e := range script {
+				for _, want := range []energy{removed[j], base} {
+					toggleOrbit(b, g, sym, e)
+					peekCheck(b, ie, g, want)
+					if got := commit(ie, g); got != want {
+						b.Fatalf("commit: energy %+v, want %+v", got, want)
+					}
+				}
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(2*b.N*len(script)), "ns/move")
+	})
 }
 
 // energy is an evaluator's verdict on a graph: the total host-pair path

@@ -19,28 +19,40 @@ import (
 // (path sum, reachable pairs, diameter); partials are merged with integer
 // addition and max, so the result is bit-for-bit identical to the serial
 // Evaluate for every worker count and every scheduling of the shards.
+// The pool and the per-worker scratch also serve an IncrementalEvaluator
+// built over the Evaluator: its row repairs and its row and totals sweeps
+// run as rounds of the same pool (see round).
 //
 // An Evaluator is not safe for concurrent use by multiple goroutines; give
-// each searcher its own (the pool inside is private to it). It is not tied
-// to one Graph — any graph may be passed, and buffers grow to the largest
-// switch count seen. Call Close when done to release the pool goroutines.
+// each searcher its own (the pool inside is private to it), and drive an
+// IncrementalEvaluator built over it from the same goroutine. It is not
+// tied to one Graph — any graph may be passed, and buffers grow to the
+// largest switch count seen. Call Close when done to release the pool
+// goroutines.
 type Evaluator struct {
 	workers int
 
-	srcs   []int32        // host-bearing switches, gathered per call
-	shards []sweepScratch // one per worker
+	srcs      []int32        // host-bearing switches, gathered per call
+	shards    []sweepScratch // one per worker
+	shardTask func(w int)    // e.runShards, bound once
 
-	// Per-round job state: written by the caller before waking the pool,
+	// Per-round state: written by the caller before waking the pool,
 	// read-only by workers during the round (the channel operations order
 	// the accesses).
-	g          *Graph
-	chunk      int
-	shardCount int
-	cursor     atomic.Int64 // next shard index to claim
+	g      *Graph
+	chunk  int
+	cursor atomic.Int64 // next item index to claim
 
-	wake   chan struct{} // one token per pooled worker per round
+	wake   chan wakeToken // one token per pooled worker in a round
 	done   chan struct{}
 	closed bool
+}
+
+// wakeToken hands a pooled goroutine one round's task and the worker
+// index whose scratch it uses.
+type wakeToken struct {
+	task func(w int)
+	w    int
 }
 
 // NewEvaluator returns an Evaluator with the given number of shard
@@ -56,8 +68,9 @@ func NewEvaluator(workers int) *Evaluator {
 		workers: workers,
 		shards:  make([]sweepScratch, workers),
 	}
+	e.shardTask = e.runShards
 	if workers > 1 {
-		e.wake = make(chan struct{}, workers-1)
+		e.wake = make(chan wakeToken, workers-1)
 		e.done = make(chan struct{}, workers-1)
 		for i := 1; i < workers; i++ {
 			go func(i int) {
@@ -66,7 +79,10 @@ func NewEvaluator(workers int) *Evaluator {
 				// attribute shard time to the evaluation stage per worker.
 				pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
 					pprof.Labels("stage", "eval", "worker", strconv.Itoa(i))))
-				e.worker(i)
+				for t := range e.wake {
+					t.task(t.w)
+					e.done <- struct{}{}
+				}
 			}(i)
 		}
 	}
@@ -88,11 +104,39 @@ func (e *Evaluator) Close() {
 	}
 }
 
-func (e *Evaluator) worker(id int) {
-	for range e.wake {
-		e.runShards(&e.shards[id])
-		e.done <- struct{}{}
+// round runs task(0) on the caller and task(w) for w in [1, k) on k-1
+// pooled goroutines, k = min(workers, items), and returns when every one
+// has returned. The tasks claim the round's items off one cursor (claim)
+// until it passes items, so a worker index only picks the scratch a task
+// uses. A task is a function value bound once, so a round allocates
+// nothing.
+func (e *Evaluator) round(task func(w int), items int) {
+	e.cursor.Store(0)
+	k := min(e.workers, items)
+	for w := 1; w < k; w++ {
+		e.wake <- wakeToken{task, w}
 	}
+	task(0)
+	for w := 1; w < k; w++ {
+		<-e.done
+	}
+}
+
+// claim returns the index of the round's next unclaimed item.
+func (e *Evaluator) claim() int { return int(e.cursor.Add(1)) - 1 }
+
+// sweepRound runs task over items as a round and returns the batch totals
+// the workers accumulated in their shards' scratch.
+func (e *Evaluator) sweepRound(task func(w int), items int) batchTotals {
+	for i := range e.shards {
+		e.shards[i].tot = batchTotals{}
+	}
+	e.round(task, items)
+	var t batchTotals
+	for i := range e.shards {
+		t.add(e.shards[i].tot)
+	}
+	return t
 }
 
 // Evaluate computes the same Metrics as Graph.Evaluate, sharded over the
@@ -175,45 +219,20 @@ func (e *Evaluator) runSweep(g *Graph) batchTotals {
 	// Chunks hold at most 128 sources (two machine words); when the pool
 	// is wider than the chunk count, shrink chunks so every worker gets a
 	// shard.
-	chunk := min(max((n+e.workers-1)/e.workers, 1), 128)
 	e.g = g
-	e.chunk = chunk
-	e.shardCount = (n + chunk - 1) / chunk
-	e.cursor.Store(0)
-	for i := range e.shards {
-		e.shards[i].tot = batchTotals{}
-	}
-	if e.workers == 1 || e.shardCount == 1 {
-		e.runShards(&e.shards[0])
-	} else {
-		for i := 1; i < e.workers; i++ {
-			e.wake <- struct{}{}
-		}
-		e.runShards(&e.shards[0])
-		for i := 1; i < e.workers; i++ {
-			<-e.done
-		}
-	}
+	e.chunk = min(max((n+e.workers-1)/e.workers, 1), 128)
+	t := e.sweepRound(e.shardTask, (n+e.chunk-1)/e.chunk)
 	e.g = nil
-	var t batchTotals
-	for i := range e.shards {
-		t.add(e.shards[i].tot)
-	}
 	return t
 }
 
-// runShards claims shards off the shared cursor until none remain,
-// accumulating into sc only.
-func (e *Evaluator) runShards(sc *sweepScratch) {
-	g := e.g
-	sc.grow(len(g.adj))
-	for {
-		idx := int(e.cursor.Add(1)) - 1
-		if idx >= e.shardCount {
-			return
-		}
-		lo := idx * e.chunk
-		sc.sweepTotals(g, e.srcs[lo:min(lo+e.chunk, len(e.srcs))])
+// runShards is the sweep's task: worker w claims shards until none
+// remain, accumulating into its own scratch only.
+func (e *Evaluator) runShards(w int) {
+	sc := &e.shards[w]
+	sc.grow(len(e.g.adj))
+	for lo := e.claim() * e.chunk; lo < len(e.srcs); lo = e.claim() * e.chunk {
+		sc.sweepTotals(e.g, e.srcs[lo:min(lo+e.chunk, len(e.srcs))])
 	}
 }
 

@@ -3,8 +3,6 @@ package hsgraph
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
 // IncrementalEvaluator computes the same metrics as Evaluator but caches
@@ -50,13 +48,16 @@ import (
 // fallbackNum/fallbackDen of the rows are flagged, the peek uses the
 // totals kernel and the commit rebuilds every row.
 //
-// An IncrementalEvaluator is not safe for concurrent use, and at most one
-// may be attached to a graph at a time (attaching a second one invalidates
-// the first, which then falls back to a full rebuild). Memory cost is one
-// q x m distance matrix of int16, capped at maxRowEntries entries (see
-// PreferIncremental).
+// The repairs and the row and totals sweeps run as rounds of the pool of
+// the Evaluator the cache is built over, in that Evaluator's per-worker
+// scratch, so one anneal keeps one pool. An IncrementalEvaluator is not
+// safe for concurrent use, nor for use concurrent with its Evaluator, and
+// at most one may be attached to a graph at a time (attaching a second one
+// invalidates the first, which then falls back to a full rebuild). Memory
+// cost is one q x m distance matrix of int16, capped at maxRowEntries
+// entries (see PreferIncremental).
 //
-// Orbit mode (NewOrbitIncrementalEvaluator with sym >= 2) caches and
+// Orbit mode (NewIncrementalEvaluator with sym >= 2) caches and
 // repairs only the m/sym orbit-representative rows of a sym-symmetric
 // graph and scales the fold-up by the orbit size, for bit-identical
 // results at ~sym× less work. A representative row spans the full graph
@@ -68,9 +69,9 @@ import (
 // fail-loud (use opt's symmetric move operators, which cannot leave the
 // subspace).
 type IncrementalEvaluator struct {
-	workers int
-	sym     int // symmetry order; 1 = generic mode
-	q       int // representative rows cached: m/sym (== m when sym == 1)
+	ev  *Evaluator // its pool and shard scratch run the passes
+	sym int        // symmetry order; 1 = generic mode
+	q   int        // representative rows cached: m/sym (== m when sym == 1)
 
 	g      *Graph
 	epoch  uint64  // g.opEpoch this evaluator armed
@@ -95,10 +96,14 @@ type IncrementalEvaluator struct {
 	// or very high (every peek uses the totals kernel).
 	repairCost int
 
-	// Row-pass and sweep scratch, reused across calls.
-	rep          []repairScratch // per-worker repair scratch and undo logs
-	sweep        []sweepScratch  // per-worker bit-BFS scratch
-	cursor       atomic.Int64
+	// Pool tasks, bound once, the sweep round's sources and kind, and the
+	// per-worker repair scratch and undo logs.
+	repairTask, sweepTask func(w int)
+	srcs                  []int32
+	rows                  bool
+	rep                   []repairScratch
+
+	// Row-pass scratch, reused across calls.
 	dirty        []int32   // rows the pending diff can change, ascending
 	flagged      []bool    // markDirty's row flags
 	colsA, colsB [][]int16 // markDirty's neighbour columns
@@ -199,42 +204,24 @@ const (
 	fallbackDen = 4
 )
 
-// NewIncrementalEvaluator returns an evaluator with the given number of
-// workers (values below 1 mean 1). Workers only affect throughput, never
-// results.
-func NewIncrementalEvaluator(workers int) *IncrementalEvaluator {
-	return NewOrbitIncrementalEvaluator(workers, 1)
-}
-
-// NewOrbitIncrementalEvaluator returns an evaluator in orbit mode: it is
-// restricted to graphs closed under the cyclic group action of order sym
-// (see VerifySymmetric) and caches only the orbit-representative distance
-// rows, ~sym× less work and memory for the same bit-identical results.
-// sym values below 2 mean the generic evaluator. Mutating the attached
-// graph out of the symmetric subspace panics at the next sync/peek (see
-// the type comment).
-func NewOrbitIncrementalEvaluator(workers, sym int) *IncrementalEvaluator {
-	if workers < 1 {
-		workers = 1
-	}
-	if sym < 1 {
-		sym = 1
-	}
-	return &IncrementalEvaluator{
-		workers:    workers,
-		sym:        sym,
+// NewIncrementalEvaluator returns a cache whose passes run on ev's pool
+// and scratch; ev's worker count only affects throughput, never results.
+// With sym >= 2 it is in orbit mode: it is restricted to graphs closed
+// under the cyclic group action of order sym (see VerifySymmetric) and
+// caches only the orbit-representative distance rows, ~sym× less work and
+// memory for the same bit-identical results. Mutating the attached graph
+// out of the symmetric subspace panics at the next sync/peek (see the type
+// comment). The caller keeps ev and closes it when done with both.
+func NewIncrementalEvaluator(ev *Evaluator, sym int) *IncrementalEvaluator {
+	ie := &IncrementalEvaluator{
+		ev:         ev,
+		sym:        max(sym, 1),
 		repairCost: repairRowCost,
-		rep:        make([]repairScratch, workers),
-		sweep:      make([]sweepScratch, workers),
+		rep:        make([]repairScratch, ev.workers),
 	}
+	ie.repairTask, ie.sweepTask = ie.repairWorker, ie.runBatches
+	return ie
 }
-
-// Workers returns the configured worker count.
-func (ie *IncrementalEvaluator) Workers() int { return ie.workers }
-
-// Symmetry returns the group order the evaluator quotients by (1 in
-// generic mode).
-func (ie *IncrementalEvaluator) Symmetry() int { return ie.sym }
 
 // row returns the cached distance row of source s.
 func (ie *IncrementalEvaluator) row(s int) []int16 {
@@ -583,33 +570,21 @@ func (ie *IncrementalEvaluator) isAdded(v, u int32) bool {
 // row repairs take less time than waking a second goroutine.
 const repairChunk = 32
 
-// repairDirty repairs every row markDirty flagged in place, in a pass
-// sharded over the workers, logging every change for rollback. Host-count
-// changes stay pending (see patchHosts).
+// repairDirty repairs every row markDirty flagged in place, in a round of
+// the pool, logging every change for rollback. Host-count changes stay
+// pending (see patchHosts). Which worker claims which rows changes from
+// pass to pass, so every worker's undo log then gets room for the whole
+// pass: the steady state allocates nothing under any schedule.
 func (ie *IncrementalEvaluator) repairDirty() {
-	if len(ie.dirty) == 0 {
-		return
+	ie.ev.round(ie.repairTask, (len(ie.dirty)+repairChunk-1)/repairChunk)
+	var entries int64
+	for w := range ie.rep {
+		entries += ie.rep[w].entries
+		ie.rep[w].entries = 0
 	}
-	ie.cursor.Store(0)
-	workers := min(ie.workers, (len(ie.dirty)+repairChunk-1)/repairChunk)
-	if workers <= 1 {
-		ie.repairWorker(&ie.rep[0])
-	} else {
-		var wg sync.WaitGroup
-		for w := 1; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ie.repairWorker(&ie.rep[w])
-			}(w)
-		}
-		ie.repairWorker(&ie.rep[0])
-		wg.Wait()
-	}
-	for w := range ie.rep[:workers] {
-		rs := &ie.rep[w]
-		ie.stats.RepairedEntries += rs.entries
-		rs.entries = 0
+	ie.stats.RepairedEntries += entries
+	for w := range ie.rep {
+		ie.rep[w].reserve(int(entries), len(ie.dirty))
 	}
 }
 
@@ -641,13 +616,11 @@ func (ie *IncrementalEvaluator) repairPays() bool {
 	return n*ie.repairCost < sweepCost
 }
 
-// repairWorker repairs chunks of the dirty rows until none is left.
-func (ie *IncrementalEvaluator) repairWorker(rs *repairScratch) {
-	for {
-		lo := int(ie.cursor.Add(1)-1) * repairChunk
-		if lo >= len(ie.dirty) {
-			return
-		}
+// repairWorker is the repair round's task: worker w repairs chunks of
+// the dirty rows, logging into its own scratch, until none is left.
+func (ie *IncrementalEvaluator) repairWorker(w int) {
+	rs := &ie.rep[w]
+	for lo := ie.ev.claim() * repairChunk; lo < len(ie.dirty); lo = ie.ev.claim() * repairChunk {
 		for _, s := range ie.dirty[lo:min(lo+repairChunk, len(ie.dirty))] {
 			ie.repairRow(rs, int(s))
 		}
@@ -746,10 +719,9 @@ func (ie *IncrementalEvaluator) stampMatches(g *Graph) bool {
 }
 
 // rebuildAll re-sweeps every cached source (every switch, or every orbit
-// representative in orbit mode). Rows are assigned to workers in
-// 64-source batches via an atomic cursor; each row is written by exactly
-// one worker and all aggregates are per-row integers, so the result does
-// not depend on scheduling.
+// representative in orbit mode). Each row is written by exactly one
+// worker and all aggregates are per-row integers, so the result does not
+// depend on scheduling.
 func (ie *IncrementalEvaluator) rebuildAll() {
 	ie.stats.SweptSources += int64(ie.q)
 	if cap(ie.queue) < ie.m {
@@ -765,50 +737,25 @@ func (ie *IncrementalEvaluator) rebuildAll() {
 }
 
 // sweepSources sweeps the given sources on the current graph in
-// laneWidth batches sharded over the workers. With rows it recomputes
+// laneWidth batches, in a round of the pool. With rows it recomputes
 // their cached distance rows and aggregates; without, it writes nothing
 // and returns the batch totals under the current host counts
 // (totalsEnergy).
 func (ie *IncrementalEvaluator) sweepSources(srcs []int32, rows bool) batchTotals {
-	var t batchTotals
-	if len(srcs) == 0 {
-		return t
-	}
-	workers := min(ie.workers, (len(srcs)+laneWidth-1)/laneWidth)
-	ie.cursor.Store(0)
-	for w := range ie.sweep[:workers] {
-		ie.sweep[w].tot = batchTotals{}
-	}
-	if workers <= 1 {
-		ie.runBatches(&ie.sweep[0], srcs, rows)
-	} else {
-		var wg sync.WaitGroup
-		for w := 1; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ie.runBatches(&ie.sweep[w], srcs, rows)
-			}(w)
-		}
-		ie.runBatches(&ie.sweep[0], srcs, rows)
-		wg.Wait()
-	}
-	for w := range ie.sweep[:workers] {
-		t.add(ie.sweep[w].tot)
-	}
+	ie.srcs, ie.rows = srcs, rows
+	t := ie.ev.sweepRound(ie.sweepTask, (len(srcs)+laneWidth-1)/laneWidth)
+	ie.srcs = nil
 	return t
 }
 
-func (ie *IncrementalEvaluator) runBatches(sc *sweepScratch, srcs []int32, rows bool) {
+// runBatches is the sweep round's task: worker w sweeps batches of the
+// round's sources in its shard scratch until none is left.
+func (ie *IncrementalEvaluator) runBatches(w int) {
+	sc := &ie.ev.shards[w]
 	sc.grow(ie.m)
-	for {
-		idx := int(ie.cursor.Add(1)) - 1
-		lo := idx * laneWidth
-		if lo >= len(srcs) {
-			return
-		}
-		batch := srcs[lo:min(lo+laneWidth, len(srcs))]
-		if rows {
+	for lo := ie.ev.claim() * laneWidth; lo < len(ie.srcs); lo = ie.ev.claim() * laneWidth {
+		batch := ie.srcs[lo:min(lo+laneWidth, len(ie.srcs))]
+		if ie.rows {
 			ie.sweepRowsWide(sc, batch)
 		} else {
 			sc.sweepTotals(ie.g, batch)

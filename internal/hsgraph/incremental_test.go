@@ -1,6 +1,7 @@
 package hsgraph
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -85,6 +86,14 @@ func randomMoveScript(t *testing.T, g *Graph, rnd *rng.Rand, steps int) []moveOp
 		}
 	}
 	return script
+}
+
+// newCache returns a cache of symmetry order sym over a fresh Evaluator
+// with the given workers, whose pool is closed when the test ends.
+func newCache(t testing.TB, workers, sym int) *IncrementalEvaluator {
+	ev := NewEvaluator(workers)
+	t.Cleanup(ev.Close)
+	return NewIncrementalEvaluator(ev, sym)
 }
 
 // checkIncrementalStep commits g's current state into the incremental
@@ -216,7 +225,7 @@ func TestIncrementalEvaluatorDifferential(t *testing.T) {
 		for _, workers := range workerCounts {
 			trials++
 			g := base.Clone()
-			ie := NewIncrementalEvaluator(workers)
+			ie := newCache(t, workers, 1)
 			checkIncrementalStep(t, ie, g, "initial")
 			for i, op := range script {
 				op.apply(t, g)
@@ -254,7 +263,7 @@ func TestIncrementalRollbackReevaluate(t *testing.T) {
 	rnd := rng.New(99)
 	for trial := 0; trial < 40; trial++ {
 		g := randomEvalGraph(t, rnd)
-		ie := NewIncrementalEvaluator(1 + trial%3)
+		ie := newCache(t, 1+trial%3, 1)
 		checkIncrementalStep(t, ie, g, "attach")
 		script := randomMoveScript(t, g, rnd, 6)
 		for i, op := range script {
@@ -291,7 +300,7 @@ func TestIncrementalOpLogOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ie := NewIncrementalEvaluator(2)
+	ie := newCache(t, 2, 1)
 	checkIncrementalStep(t, ie, g, "attach")
 	a, b := g.Edge(0)
 	for i := 0; i < maxOpLog; i++ { // 2 ops per round: guaranteed overflow
@@ -312,68 +321,69 @@ func TestIncrementalOpLogOverflow(t *testing.T) {
 	}
 }
 
-// TestIncrementalEvaluatorSteadyStateAllocs verifies the annealing-shaped
-// cycle (mutate, evaluate, roll back, evaluate) is allocation-free once
-// the cache is warm, like the sharded evaluator's steady state.
+// TestIncrementalEvaluatorSteadyStateAllocs verifies that the
+// annealing-shaped cycles are allocation-free once the cache is warm, like
+// the sharded evaluator's steady state, at every worker count: on a graph
+// whose passes are shared by the pool (a 2-swap there flags a few hundred
+// rows, more than one repair chunk and one sweep batch). Each cycle runs
+// a 2-swap and its reverse, each first rejected (peek, revert, next call)
+// and then accepted (peek, commit), so every commit changes rows. In the
+// totals-peek cycle every peek evaluates the flagged rows with the totals
+// kernel and the commit repairs them; in the repair cycle every peek
+// repairs them under the undo log and the commit only drops it.
 func TestIncrementalEvaluatorSteadyStateAllocs(t *testing.T) {
-	g, err := RandomConnected(128, 32, 10, rng.New(3))
+	g, err := RandomConnected(4096, 1100, 12, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ie := NewIncrementalEvaluator(1) // workers=1: no goroutine churn in the loop
-	ie.Energy(g)
-	a, b := g.Edge(0)
-	c, d := g.Edge(1)
-	step := func() {
-		for _, p := range [][2]int{{a, b}, {c, d}} {
-			if err := g.Disconnect(p[0], p[1]); err != nil {
-				t.Fatal(err)
+	runs := 20
+	if testing.Short() {
+		runs = 5
+	}
+	for _, workers := range []int{1, 2, 4} {
+		ie := newCache(t, workers, 1)
+		ie.Energy(g)
+		ie.repairCost = 0
+		from, to := repairedSwap(t, g, ie)
+		for _, repair := range []bool{false, true} {
+			ctx := "workers " + itoa(workers) + " totals-peek cycle"
+			ie.repairCost = 1 << 30
+			if repair {
+				ctx = "workers " + itoa(workers) + " repair cycle"
+				ie.repairCost = 0
+			}
+			cycle := func() {
+				for _, x := range [][2][2][2]int{{from, to}, {to, from}} {
+					swapEdges(t, g, x[0], x[1])
+					ie.PeekEnergy(g)
+					swapEdges(t, g, x[1], x[0])
+					swapEdges(t, g, x[0], x[1])
+					if _, connected, _ := ie.PeekEnergy(g); !connected || ie.applied != repair {
+						t.Fatalf("%s: swap peek disconnected or on the other path", ctx)
+					}
+					if len(ie.dirty) <= laneWidth {
+						t.Fatalf("%s: %d dirty rows, want more than a sweep batch", ctx, len(ie.dirty))
+					}
+					ie.Energy(g)
+				}
+			}
+			cycle() // warm every scratch path
+			before := ie.Stats()
+			// Finish the collection the set-up's allocations started: a
+			// GC cycle running inside the measured window makes the
+			// runtime allocate sudogs for the pool's channel waits.
+			runtime.GC()
+			if avg := testing.AllocsPerRun(runs, cycle); avg > 0 {
+				t.Errorf("%s: allocates %.1f times per cycle", ctx, avg)
+			}
+			s := ie.Stats()
+			reused := s.StoredPeekReuses - before.StoredPeekReuses
+			if reused != 0 && !repair || reused < int64(2*runs) && repair ||
+				s.RepairedEntries == before.RepairedEntries ||
+				s.SweptSources != before.SweptSources || s.FullRebuilds != before.FullRebuilds {
+				t.Fatalf("%s took another path: %+v then %+v", ctx, before, s)
 			}
 		}
-		if err := g.Connect(a, b); err != nil {
-			t.Fatal(err)
-		}
-		ie.PeekEnergy(g)
-		if err := g.Connect(c, d); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := ie.Energy(g); !ok {
-			t.Fatal("graph disconnected")
-		}
-	}
-	step() // warm every scratch path
-	if avg := testing.AllocsPerRun(50, step); avg > 0 {
-		t.Fatalf("steady-state incremental evaluation allocates %.1f times per cycle", avg)
-	}
-
-	// The same with every peek repaired in place: a rejected candidate
-	// (repair at the peek, rollback at the next call) and an accepted one
-	// (repair at the peek, a commit that only drops the undo log),
-	// alternating a 2-swap and its reverse so that every commit changes
-	// rows.
-	ie.repairCost = 0
-	from, to := repairedSwap(t, g, ie)
-	cycle := func() {
-		for _, x := range [][2][2][2]int{{from, to}, {to, from}} {
-			swapEdges(t, g, x[0], x[1])
-			ie.PeekEnergy(g)
-			swapEdges(t, g, x[1], x[0])
-			swapEdges(t, g, x[0], x[1])
-			if _, connected, _ := ie.PeekEnergy(g); !connected || !ie.applied {
-				t.Fatal("swap peek disconnected or not repaired")
-			}
-			ie.Energy(g)
-		}
-	}
-	cycle()
-	before := ie.Stats()
-	if avg := testing.AllocsPerRun(50, cycle); avg > 0 {
-		t.Fatalf("steady-state repair allocates %.1f times per cycle", avg)
-	}
-	s := ie.Stats()
-	if s.StoredPeekReuses-before.StoredPeekReuses < 2*50 || s.RepairedEntries == before.RepairedEntries ||
-		s.SweptSources != before.SweptSources || s.FullRebuilds != before.FullRebuilds {
-		t.Fatalf("repair cycle took another path: %+v then %+v", before, s)
 	}
 }
 
@@ -452,7 +462,7 @@ func FuzzIncrementalEval(f *testing.F) {
 		}
 		rnd := rng.New(seed)
 		g := randomEvalGraph(t, rnd)
-		ie := NewIncrementalEvaluator(1 + int(seed%3))
+		ie := newCache(t, 1+int(seed%3), 1)
 		if seed%2 == 1 {
 			ie.repairCost = 0
 		}
@@ -540,7 +550,7 @@ func TestIncrementalStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ie := NewIncrementalEvaluator(2)
+	ie := newCache(t, 2, 1)
 	q := int64(g.Switches())
 
 	ie.Energy(g) // attach: a rebuild, but not a counted sync
@@ -712,5 +722,5 @@ func TestPreferIncrementalSizeRule(t *testing.T) {
 			t.Fatalf("attaching an over-budget cache: want a panic naming its size, got %q", msg)
 		}
 	}()
-	NewIncrementalEvaluator(1).Energy(g)
+	newCache(t, 1, 1).Energy(g)
 }

@@ -1,6 +1,9 @@
 package hsgraph
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // This file holds the in-place repair of one cached distance row (see the
 // IncrementalEvaluator type comment): the net removals first, on the
@@ -44,7 +47,10 @@ type aggUndo struct {
 	sum, w, rch int64
 }
 
-// grow sizes the scratch for m switches.
+// grow sizes the scratch for m switches. A row's repair holds a switch at
+// most once in a frontier, a queue or the raised list, so those lists
+// never outgrow m: sized here, they do not grow with whichever rows the
+// worker claims later.
 func (rs *repairScratch) grow(m int) {
 	if len(rs.mark) >= m {
 		return
@@ -57,6 +63,21 @@ func (rs *repairScratch) grow(m int) {
 	}
 	rs.link = make([]int32, m)
 	rs.lo, rs.hi = m, -1
+	rs.front, rs.next = make([]int32, 0, m), make([]int32, 0, m)
+	rs.raised = make([]int32, 0, m)
+	rs.raisedOld, rs.raisedNew = make([]int16, 0, m), make([]int16, 0, m)
+}
+
+// reserve gives the undo log room for n entries and rows rows, so that a
+// pass no larger appends without allocating, whichever rows the worker
+// claims in it.
+func (rs *repairScratch) reserve(n, rows int) {
+	if cap(rs.undo) < n {
+		rs.undo = slices.Grow(rs.undo, n-len(rs.undo))
+	}
+	if cap(rs.aggs) < rows {
+		rs.aggs = slices.Grow(rs.aggs, rows-len(rs.aggs))
+	}
 }
 
 // reset forgets the undo log.

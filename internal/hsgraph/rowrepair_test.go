@@ -181,10 +181,17 @@ type repairCoverage struct {
 // a later one that reconnects them, and batches large enough to force a
 // full rebuild. After every peek, explicit rollback and commit it compares
 // every cached row entry with Graph.SwitchBFS from that source (checkCache)
-// and every energy with EvaluateSlow. Coverage floors fail the test unless
-// each case occurred.
+// and every energy with EvaluateSlow. Between each peek and the call that
+// follows it, the cache's own Evaluator evaluates a larger graph, whose
+// answers must match EvaluateSlow too: the pool scratch both share must
+// carry nothing from one to the other. Coverage floors fail the test
+// unless each case occurred.
 func TestIncrementalRepairOracle(t *testing.T) {
 	shortcutCase(t)
+	other, err := RandomConnected(600, 220, 12, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
 	rnd := rng.New(20261019)
 	trials := 24
 	if testing.Short() {
@@ -198,12 +205,12 @@ func TestIncrementalRepairOracle(t *testing.T) {
 		for _, workers := range []int{1, 2, 4} {
 			for _, forced := range []bool{true, false} {
 				g := base.Clone()
-				ie := NewOrbitIncrementalEvaluator(workers, sym)
+				ie := newCache(t, workers, sym)
 				if forced {
 					ie.repairCost = 0
 				}
 				ctx := "trial " + itoa(trial) + " sym " + itoa(sym) + " workers " + itoa(workers)
-				runRepairScript(t, newCacheOracle(t, ie, g), sym, rng.New(seed), ctx, &cov)
+				runRepairScript(t, newCacheOracle(t, ie, g), other, sym, rng.New(seed), ctx, &cov)
 			}
 		}
 	}
@@ -262,7 +269,7 @@ func shortcutCase(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				ie := NewIncrementalEvaluator(workers)
+				ie := newCache(t, workers, 1)
 				if forced {
 					ie.repairCost = 0
 				}
@@ -289,11 +296,13 @@ func shortcutCase(t *testing.T) {
 }
 
 // runRepairScript drives one evaluator through a random script on o.g,
-// checking the cache after every call.
-func runRepairScript(t *testing.T, o *cacheOracle, sym int, rnd *rng.Rand, ctx string, cov *repairCoverage) {
+// checking the cache after every call, and evaluates other on the cache's
+// Evaluator after every peek.
+func runRepairScript(t *testing.T, o *cacheOracle, other *Graph, sym int, rnd *rng.Rand, ctx string, cov *repairCoverage) {
 	t.Helper()
 	g, ie := o.g, o.ie
 	m := g.Switches()
+	otherWant := other.EvaluateSlow()
 	connected := g.EvaluateSlow().Connected
 	var cut [][2]int // edges of a committed isolation, re-added by a later move
 	commit := func(step string) {
@@ -328,6 +337,12 @@ func runRepairScript(t *testing.T, o *cacheOracle, sym int, rnd *rng.Rand, ctx s
 			cov.tooDirtyPeeks++
 		default:
 			cov.totalsPeeks++
+		}
+		if got := ie.ev.Evaluate(other); got != otherWant {
+			t.Fatalf("%s: shared Evaluate %+v, reference %+v", step, got, otherWant)
+		}
+		if e, c := ie.ev.Energy(other); e != otherWant.TotalPath || c != otherWant.Connected {
+			t.Fatalf("%s: shared Energy (%d, %v), reference (%d, %v)", step, e, c, otherWant.TotalPath, otherWant.Connected)
 		}
 	}
 	// move applies one random kind of candidate move to e.

@@ -114,7 +114,7 @@ func TestCopyFromPreservesOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ie := NewIncrementalEvaluator(1)
+	ie := newCache(t, 1, 1)
 	ie.Energy(dst)
 	for _, shape := range [][3]int{{96, 30, 10}, {48, 12, 8}, {120, 40, 9}} {
 		g, err := RandomConnected(shape[0], shape[1], shape[2], rnd)

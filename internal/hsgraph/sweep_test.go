@@ -142,7 +142,7 @@ func TestTotalsKernelOracle(t *testing.T) {
 			ev.Close()
 		}
 
-		ie := NewOrbitIncrementalEvaluator([]int{1, 2, 4}[trial%3], sym)
+		ie := newCache(t, []int{1, 2, 4}[trial%3], sym)
 		ie.Energy(g)
 		for round := 0; round < 4; round++ {
 			mutateOrbits(t, g, sym, rnd, 1+rnd.Intn(16))

@@ -5,7 +5,7 @@ import "fmt"
 // This file holds the symmetry check behind orbit-quotient evaluation:
 // graphs closed under a cyclic group action evaluate with one bit-parallel
 // BFS per source *orbit* instead of one per host-bearing switch (the
-// orbit-mode IncrementalEvaluator, NewOrbitIncrementalEvaluator).
+// orbit-mode IncrementalEvaluator, NewIncrementalEvaluator with sym >= 2).
 //
 // The group action of order sym on m switches (sym | m) is the cyclic
 // shift σ(s) = (s + m/sym) mod m. Every switch orbit {s, σ(s), σ²(s), …}

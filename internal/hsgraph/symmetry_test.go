@@ -211,8 +211,8 @@ func TestOrbitIncrementalDifferential(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		g, sym := symTestGraph(t, rnd)
 		mirror := g.Clone()
-		ie := NewOrbitIncrementalEvaluator(1+rnd.Intn(4), sym)
-		gen := NewIncrementalEvaluator(1 + rnd.Intn(4))
+		ie := newCache(t, 1+rnd.Intn(4), sym)
+		gen := newCache(t, 1+rnd.Intn(4), 1)
 		want := g.EvaluateSlow()
 		if e, ok := ie.Energy(g); ok != want.Connected || (ok && e != want.TotalPath) {
 			t.Fatalf("trial %d %v sym=%d: attach Energy (%d,%v) inconsistent with %+v", trial, g, sym, e, ok, want)
@@ -318,7 +318,7 @@ func TestOrbitIncrementalPanicsOnSymmetryBreak(t *testing.T) {
 			if g.Order() == 0 || g.SwitchOf(0) == -1 {
 				continue // host variant needs an attached host to move
 			}
-			ie := NewOrbitIncrementalEvaluator(2, sym)
+			ie := newCache(t, 2, sym)
 			ie.Energy(g) // attach while still symmetric
 			if !mutate(g, sym) {
 				continue
@@ -369,7 +369,7 @@ func TestOrbitIncrementalPanicsOnSymmetryBreak(t *testing.T) {
 			t.Fatalf("attach panic message %q lacks 'asymmetric'", r)
 		}
 	}()
-	NewOrbitIncrementalEvaluator(1, sym).Energy(g)
+	newCache(t, 1, sym).Energy(g)
 }
 
 // FuzzOrbitEval drives random symmetric graphs through the orbit-mode
@@ -386,7 +386,7 @@ func FuzzOrbitEval(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		rnd := rng.New(seed)
 		g, sym := symTestGraph(t, rnd)
-		ie := NewOrbitIncrementalEvaluator(1+int(seed%3), sym)
+		ie := newCache(t, 1+int(seed%3), sym)
 		if seed%2 == 1 {
 			ie.repairCost = 0
 		}

@@ -26,7 +26,8 @@ import "repro/internal/buildinfo"
 //	anneal.done:   iters, bestTotalPath, bestHASPL, acceptRate, seconds
 //	sweep.trial:   fraction, trial, done, total, seconds,
 //	               survivingHASPL, stretch, reachableFrac, failedLinks,
-//	               failedSwitches
+//	               failedSwitches (one encoder, fault.TrialProgress.Event,
+//	               writes them)
 //	sweep.done:    trials, seconds
 //	flow.*:        see simnet.FlowTracer (exported via Chrome trace
 //	               rather than JSONL; listed here for kind stability)

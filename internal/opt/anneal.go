@@ -93,9 +93,8 @@ type Options struct {
 	// Seed drives all randomness. Two runs with equal inputs and seeds
 	// produce identical outputs.
 	Seed uint64
-	// OnProgress, if non-nil, is called every ReportEvery iterations
-	// (default 1000) with the iteration count and current/best energy.
-	OnProgress  func(iter int, current, best int64)
+	// ReportEvery is the sampling interval of Observer and TraceEnergy
+	// in iterations (default 1000).
 	ReportEvery int
 	// Observer, if non-nil, receives an AnnealSample every ReportEvery
 	// iterations plus one final sample at the last iteration. The nil
@@ -299,7 +298,7 @@ func Anneal(start *hsgraph.Graph, o Options) (*hsgraph.Graph, Result, error) {
 			}
 			sp.SetF("iter", float64(st.iter))
 			sp.End()
-			return runAnneal(st, o, newScorer(ev, st.g.Switches(), o.Symmetry, o.Workers, o.reference))
+			return runAnneal(st, o, newScorer(ev, st.g.Switches(), o.Symmetry, o.reference))
 		} else if !errors.Is(err, os.ErrNotExist) {
 			return nil, Result{}, fmt.Errorf("opt: resume: %w", err)
 		}
@@ -308,7 +307,7 @@ func Anneal(start *hsgraph.Graph, o Options) (*hsgraph.Graph, Result, error) {
 	applyDefaults(&o)
 	// One scorer serves the temperature calibration and the loop, so a
 	// cache's rows are allocated once.
-	sc := newScorer(ev, start.Switches(), o.Symmetry, o.Workers, o.reference)
+	sc := newScorer(ev, start.Switches(), o.Symmetry, o.reference)
 	sp := o.Span.Child("anneal.init")
 	st, err := newAnnealState(start, &o, sc)
 	if err != nil {
@@ -437,9 +436,6 @@ func runAnneal(st *annealState, o Options, sc *scorer) (*hsgraph.Graph, Result, 
 			st.best.CopyFrom(st.g)
 		}
 		if (iter+1)%o.ReportEvery == 0 || iter+1 == o.Iterations {
-			if o.OnProgress != nil && (iter+1)%o.ReportEvery == 0 {
-				o.OnProgress(iter+1, st.energy, st.bestEnergy)
-			}
 			st.tel.sample(&o, res, iter+1, st.temp, st.energy, st.bestEnergy)
 		}
 		switch o.Schedule {
@@ -689,7 +685,6 @@ func ParallelAnneal(start *hsgraph.Graph, o Options, restarts int) (*hsgraph.Gra
 				pprof.Labels("stage", "anneal", "worker", strconv.Itoa(i))))
 			oi := o
 			oi.Seed = o.Seed + uint64(i)*0x9e3779b97f4a7c15
-			oi.OnProgress = nil
 			// The Observer (if any) is shared by every restart; samples
 			// carry the restart index. Observer implementations used here
 			// must be safe for concurrent use (see Observer docs).

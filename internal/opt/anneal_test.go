@@ -110,18 +110,12 @@ func TestAnnealProgressCallback(t *testing.T) {
 		Iterations:  1000,
 		ReportEvery: 100,
 		Seed:        41,
-		OnProgress: func(iter int, cur, best int64) {
+		Observer: ObserverFunc(func(s AnnealSample) {
 			calls++
-			if best > cur {
-				// best is a minimum over history; it may be below cur but
-				// never above it at the instant of improvement; since cur
-				// can regress at high temperature, only sanity-check sign.
-				_ = cur
+			if s.Iter%100 != 0 {
+				t.Errorf("callback at iter %d not on boundary", s.Iter)
 			}
-			if iter%100 != 0 {
-				t.Errorf("callback at iter %d not on boundary", iter)
-			}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

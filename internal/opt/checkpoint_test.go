@@ -92,11 +92,11 @@ func TestResumeDeterminismAfterInterrupt(t *testing.T) {
 		o.CheckpointEvery = 100 // interrupt points deliberately off-cycle
 		o.Interrupt = &stop
 		o.Workers = tc.killWorkers
-		o.OnProgress = func(iter int, current, best int64) {
-			if iter == tc.killAt {
+		o.Observer = ObserverFunc(func(s AnnealSample) {
+			if s.Iter == tc.killAt {
 				stop.Store(true)
 			}
-		}
+		})
 		_, partial, err := Anneal(start, o)
 		if tc.killAt < o.Iterations {
 			if !errors.Is(err, ckpt.ErrInterrupted) {
@@ -161,8 +161,8 @@ func TestResumeFromPeriodicSnapshot(t *testing.T) {
 	o := ckptBaseOptions()
 	o.CheckpointPath = livePath
 	o.CheckpointEvery = 128
-	o.OnProgress = func(iter int, current, best int64) {
-		if iter == 512 {
+	o.Observer = ObserverFunc(func(s AnnealSample) {
+		if s.Iter == 512 {
 			// Freeze whatever snapshot a SIGKILL at this instant would
 			// leave behind: the most recent completed periodic write.
 			data, err := os.ReadFile(livePath)
@@ -174,7 +174,7 @@ func TestResumeFromPeriodicSnapshot(t *testing.T) {
 				t.Errorf("writing kill copy: %v", err)
 			}
 		}
-	}
+	})
 	wantG, wantRes, err := Anneal(start, o)
 	if err != nil {
 		t.Fatal(err)
@@ -262,11 +262,11 @@ func writeTestCheckpoint(t *testing.T, start *hsgraph.Graph) string {
 	o := ckptBaseOptions()
 	o.CheckpointPath = path
 	o.Interrupt = &stop
-	o.OnProgress = func(iter int, current, best int64) {
-		if iter == 50 {
+	o.Observer = ObserverFunc(func(s AnnealSample) {
+		if s.Iter == 50 {
 			stop.Store(true)
 		}
-	}
+	})
 	if _, _, err := Anneal(start, o); !errors.Is(err, ckpt.ErrInterrupted) {
 		t.Fatalf("want ErrInterrupted, got %v", err)
 	}

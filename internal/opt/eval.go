@@ -35,11 +35,12 @@ type scorer struct {
 }
 
 // newScorer picks the path for a graph of m switches under symmetry order
-// sym (values below 2 mean none). ev serves the exact path.
-func newScorer(ev *hsgraph.Evaluator, m, sym, workers int, reference bool) *scorer {
+// sym (values below 2 mean none). ev serves the exact path, and its pool
+// runs the cache's passes, so a run keeps one pool.
+func newScorer(ev *hsgraph.Evaluator, m, sym int, reference bool) *scorer {
 	sc := &scorer{ev: ev, reference: reference}
 	if !reference && hsgraph.PreferIncremental(m, sym) {
-		sc.inc = hsgraph.NewOrbitIncrementalEvaluator(max(workers, 1), sym)
+		sc.inc = hsgraph.NewIncrementalEvaluator(ev, sym)
 	}
 	return sc
 }

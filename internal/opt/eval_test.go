@@ -35,8 +35,9 @@ func pathStart(t *testing.T, large bool, sym int, seed uint64) *hsgraph.Graph {
 	return g
 }
 
-// progressPoint is one OnProgress observation: with ReportEvery=1 the
-// sequence of points is the full accepted-move trajectory of a run.
+// progressPoint is one Observer sample's iteration and energies: with
+// ReportEvery=1 the sequence of points is the full accepted-move
+// trajectory of a run.
 type progressPoint struct {
 	iter          int
 	current, best int64
@@ -55,9 +56,9 @@ func trajectory(t *testing.T, start *hsgraph.Graph, o Options) annealRun {
 	t.Helper()
 	var r annealRun
 	o.ReportEvery = 1
-	o.OnProgress = func(iter int, current, best int64) {
-		r.traj = append(r.traj, progressPoint{iter, current, best})
-	}
+	o.Observer = ObserverFunc(func(s AnnealSample) {
+		r.traj = append(r.traj, progressPoint{s.Iter, s.Current, s.Best})
+	})
 	g, res, err := Anneal(start.Clone(), o)
 	if err != nil {
 		t.Fatal(err)
@@ -241,11 +242,11 @@ func killAndResume(t *testing.T, start *hsgraph.Graph, o Options, killAt, killWo
 	ko.CheckpointEvery = 100
 	ko.Interrupt = &stop
 	ko.Workers = killWorkers
-	ko.OnProgress = func(iter int, current, best int64) {
-		if iter == killAt {
+	ko.Observer = ObserverFunc(func(s AnnealSample) {
+		if s.Iter == killAt {
 			stop.Store(true)
 		}
-	}
+	})
 	if _, _, err := Anneal(start.Clone(), ko); !errors.Is(err, ckpt.ErrInterrupted) {
 		t.Fatalf("killAt=%d: want ErrInterrupted, got %v", killAt, err)
 	}

@@ -65,11 +65,11 @@ func TestPauseResumeBitIdentical(t *testing.T) {
 	o.Span = ep.cur
 	o.Interrupt = &stop
 	o.Pause = ep.pause(&stop)
-	o.OnProgress = func(iter int, _, _ int64) {
-		if iter == 137 || iter == 517 {
+	o.Observer = ObserverFunc(func(s AnnealSample) {
+		if s.Iter == 137 || s.Iter == 517 {
 			stop.Store(true)
 		}
-	}
+	})
 	gotG, gotRes, err := Anneal(start, o)
 	if err != nil {
 		t.Fatal(err)
@@ -116,11 +116,11 @@ func TestPauseStopUnwinds(t *testing.T) {
 	o := ckptBaseOptions()
 	o.Interrupt = &stop
 	o.Pause = func() (*obs.Span, bool) { return nil, false }
-	o.OnProgress = func(iter int, _, _ int64) {
-		if iter == 300 {
+	o.Observer = ObserverFunc(func(s AnnealSample) {
+		if s.Iter == 300 {
 			stop.Store(true)
 		}
-	}
+	})
 	g, res, err := Anneal(start, o)
 	if !errors.Is(err, ckpt.ErrInterrupted) {
 		t.Fatalf("want ErrInterrupted, got %v", err)

@@ -145,7 +145,7 @@ func Repair(degraded *hsgraph.Graph, down []int32, o RepairOptions) (*hsgraph.Gr
 	// decisions, the RNG draws and the repaired graph do not depend on it.
 	// The calibration runs first: on the cache path it attaches the cache
 	// to its scratch clone, and the initial energy then moves it to g once.
-	sc := newScorer(ev, m, 1, o.Workers, o.reference)
+	sc := newScorer(ev, m, 1, o.reference)
 	temp := o.InitialTemp
 	if temp == 0 {
 		temp = calibrateTemp(g, SwapOnly, 1, rnd.Split(), sc) / 10

@@ -79,11 +79,11 @@ func TestResumeFingerprintsSymmetry(t *testing.T) {
 	ko.CheckpointPath = path
 	ko.CheckpointEvery = 100
 	ko.Interrupt = &stop
-	ko.OnProgress = func(iter int, current, best int64) {
-		if iter == 300 {
+	ko.Observer = ObserverFunc(func(s AnnealSample) {
+		if s.Iter == 300 {
 			stop.Store(true)
 		}
-	}
+	})
 	if _, _, err := Anneal(start.Clone(), ko); !errors.Is(err, ckpt.ErrInterrupted) {
 		t.Fatalf("want ErrInterrupted, got %v", err)
 	}

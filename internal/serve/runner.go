@@ -205,18 +205,7 @@ func (s *scheduler) executeSweep(j *job) (json.RawMessage, error) {
 		Pause:     s.pauseHook(j),
 		Span:      j.runSpan,
 		OnTrial: func(p fault.TrialProgress) {
-			j.log.Append(obs.Event{T: p.Seconds, Kind: obs.KindSweepTrial, F: map[string]float64{
-				"fraction":       p.Fraction,
-				"trial":          float64(p.Trial),
-				"done":           float64(p.Done),
-				"total":          float64(p.Total),
-				"seconds":        p.Seconds,
-				"survivingHASPL": p.Result.SurvivingHASPL,
-				"stretch":        p.Result.Stretch,
-				"reachableFrac":  p.Result.ReachableFrac,
-				"failedLinks":    float64(p.Result.FailedLinks),
-				"failedSwitches": float64(p.Result.FailedSwitches),
-			}})
+			j.log.Append(p.Event())
 		},
 	}
 	points, err := fault.Sweep(g, so)

@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -423,6 +425,45 @@ func TestHTTPAPI(t *testing.T) {
 	}
 }
 
+// schemaKeys returns, sorted, the field keys obs/schema.go's comment lists
+// for kind: the comma-separated names after "kind:" and on the indented
+// lines that continue it, up to a parenthesised note.
+func schemaKeys(t *testing.T, kind string) []string {
+	t.Helper()
+	src, err := os.ReadFile("../obs/schema.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list string
+	in := false
+	for _, line := range strings.Split(string(src), "\n") {
+		rest, ok := strings.CutPrefix(line, "//\t")
+		switch {
+		case !ok:
+			in = false
+		case strings.HasPrefix(rest, kind+":"):
+			in = true
+			list = strings.TrimPrefix(rest, kind+":")
+		case in && strings.HasPrefix(rest, " "):
+			list += "," + rest
+		default:
+			in = false
+		}
+	}
+	list, _, _ = strings.Cut(list, "(")
+	var keys []string
+	for _, k := range strings.Split(list, ",") {
+		if k = strings.TrimSpace(k); k != "" {
+			keys = append(keys, k)
+		}
+	}
+	if keys == nil {
+		t.Fatalf("obs/schema.go lists no keys for %s", kind)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
 func TestEventStreamReplayAndFollow(t *testing.T) {
 	s := testServer(t, Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
@@ -460,6 +501,20 @@ func TestEventStreamReplayAndFollow(t *testing.T) {
 	}
 	if kinds[obs.KindSweepTrial] != 6 {
 		t.Fatalf("want 6 sweep.trial events, got %d", kinds[obs.KindSweepTrial])
+	}
+	want := schemaKeys(t, obs.KindSweepTrial)
+	for _, e := range events {
+		if e.Kind != obs.KindSweepTrial {
+			continue
+		}
+		var keys []string
+		for k := range e.F {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		if !slices.Equal(keys, want) {
+			t.Fatalf("sweep.trial keys %v, obs/schema.go lists %v", keys, want)
+		}
 	}
 	if events[len(events)-1].Kind != KindJobDone {
 		t.Fatalf("stream does not end with job.done: %v", events[len(events)-1].Kind)
