@@ -64,7 +64,8 @@ type Options struct {
 	// FixedM forces the switch count instead of the m_opt prediction.
 	// Zero means predict. Used by the Fig. 5 sweeps.
 	FixedM int
-	// Moves selects the SA neighbourhood. Default TwoNeighborSwing.
+	// Moves selects the SA neighbourhood. The zero value is
+	// opt.SwapOnly.
 	Moves opt.MoveSet
 	// Workers is the number of evaluation shard workers per annealing run
 	// (hsgraph.Evaluator). Zero means auto: single-restart runs use
@@ -86,14 +87,11 @@ type Options struct {
 	// (~Symmetry× fewer). The single-switch and clique regimes are already
 	// provably optimal and ignore this field.
 	Symmetry int
-	// Observer receives per-interval anneal telemetry (every ReportEvery
+	// Observer receives per-interval anneal telemetry (every 1000
 	// iterations; see opt.Observer). With Restarts > 1 every restart
 	// samples into it, tagged by AnnealSample.Restart, so implementations
 	// must be concurrency-safe.
 	Observer opt.Observer
-	// ReportEvery is the sampling interval for Observer in iterations
-	// (0 = the annealer's default, 1000).
-	ReportEvery int
 	// TraceEnergy records a bounded best-energy convergence trace into
 	// Topology.Anneal.EnergyTrace (see opt.Options.TraceEnergy).
 	TraceEnergy bool
@@ -217,7 +215,6 @@ func Solve(n, r int, o Options) (*Topology, error) {
 		Workers:         o.Workers,
 		Symmetry:        o.Symmetry,
 		Observer:        o.Observer,
-		ReportEvery:     o.ReportEvery,
 		TraceEnergy:     o.TraceEnergy,
 		CheckpointPath:  o.CheckpointPath,
 		CheckpointEvery: o.CheckpointEvery,

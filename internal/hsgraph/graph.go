@@ -329,20 +329,26 @@ func (g *Graph) CopyFrom(src *Graph) {
 	g.hostOf = append(g.hostOf[:0], src.hostOf...)
 	g.hosts = append(g.hosts[:0], src.hosts...)
 	g.hostPos = append(g.hostPos[:0], src.hostPos...)
-	g.adj = copyRows(g.adj, src.adj)
-	g.hostsAt = copyRows(g.hostsAt, src.hostsAt)
+	g.adj = copyRows(g.adj, src.adj, g.r)
+	g.hostsAt = copyRows(g.hostsAt, src.hostsAt, g.r)
 	if g.opLogOn {
 		g.opOverflow = true
 	}
 }
 
-// copyRows copies src into dst row by row, reusing dst's row buffers.
-func copyRows(dst, src [][]int32) [][]int32 {
+// copyRows copies src into dst row by row, reusing dst's row buffers. A
+// row that needs a new buffer gets room for twice its length, capped at
+// the radix r that bounds every row: an annealing move shifts a switch's
+// degree by one, so a cloned graph's rows then seldom grow again.
+func copyRows(dst, src [][]int32, r int) [][]int32 {
 	if cap(dst) < len(src) {
 		dst = append(dst[:cap(dst)], make([][]int32, len(src)-cap(dst))...)
 	}
 	dst = dst[:len(src)]
 	for i, row := range src {
+		if cap(dst[i]) < len(row) {
+			dst[i] = make([]int32, 0, min(2*len(row), r))
+		}
 		dst[i] = append(dst[i][:0], row...)
 	}
 	return dst

@@ -66,8 +66,8 @@ import (
 // attach verifies the whole graph, every sync/peek verifies the pending
 // mutations, and a violation panics — a quotient evaluation of an
 // asymmetric graph would silently mis-evaluate, so the contract is
-// fail-loud (use opt's symmetric move operators, which cannot leave the
-// subspace).
+// fail-loud (opt's move operators, run at the graph's orbit size, cannot
+// leave the subspace).
 type IncrementalEvaluator struct {
 	ev  *Evaluator // its pool and shard scratch run the passes
 	sym int        // symmetry order; 1 = generic mode

@@ -77,7 +77,7 @@ type Options struct {
 	// Iterations is the number of proposed moves. Default 20000.
 	// Negative values are rejected.
 	Iterations int
-	// Moves selects the neighbourhood. Default TwoNeighborSwing.
+	// Moves selects the neighbourhood. The zero value is SwapOnly.
 	Moves MoveSet
 	// Schedule selects the cooling schedule. Default Geometric.
 	Schedule Schedule
@@ -102,11 +102,13 @@ type Options struct {
 	Observer Observer
 	// TraceEnergy records the best energy at every ReportEvery interval
 	// into Result.EnergyTrace so convergence can be plotted without
-	// re-running. Memory stays bounded: once the trace reaches
-	// EnergyTraceMax samples it is decimated (every other sample
-	// dropped, sampling stride doubled).
-	TraceEnergy    bool
-	EnergyTraceMax int // cap on len(Result.EnergyTrace); default 2048
+	// re-running. Memory stays bounded: once the trace reaches 2048
+	// samples it is decimated (every other sample dropped, sampling
+	// stride doubled).
+	TraceEnergy bool
+	// energyTraceMax, set only by tests, lowers the trace cap from 2048
+	// so a short run decimates.
+	energyTraceMax int
 	// restart tags observer samples from ParallelAnneal.
 	restart int
 	// reference, set only by tests, scores every candidate with
@@ -189,7 +191,7 @@ type Result struct {
 	// Moves breaks Proposed/Accepted down by operation.
 	Moves MoveCounters
 	// EnergyTrace is the best energy sampled every EnergyTraceStride
-	// iterations (only with Options.TraceEnergy; see EnergyTraceMax).
+	// iterations (only with Options.TraceEnergy; at most 2048 samples).
 	EnergyTrace       []float64
 	EnergyTraceStride int
 	// Eval snapshots the incremental cache's counters at the end of the
@@ -338,7 +340,7 @@ func newAnnealState(start *hsgraph.Graph, o *Options, sc *scorer) (*annealState,
 		o.InitialTemp, o.FinalTemp = hillClimbTemp, hillClimbTemp
 	}
 	if o.InitialTemp == 0 {
-		o.InitialTemp = calibrateTemp(st.g, o.Moves, o.Symmetry, st.rnd.Split(), sc)
+		o.InitialTemp = calibrateTemp(st.g, o.Moves, max(o.Symmetry, 1), st.rnd.Split(), sc)
 	}
 	if o.FinalTemp == 0 {
 		o.FinalTemp = o.InitialTemp / 200
@@ -383,52 +385,30 @@ func runAnneal(st *annealState, o Options, sc *scorer) (*hsgraph.Graph, Result, 
 		return e, accepted
 	}
 
+	// The loop owns the move records: the 2-neighbor swing needs its
+	// step-1 and step-3 records, the single-step sets only mv[0].
+	var mv [2]move
+	sym := max(o.Symmetry, 1)
+	attempts, accepts := &res.Moves.SwingAttempts, &res.Moves.SwingAccepts
+	if o.Moves == SwapOnly {
+		attempts, accepts = &res.Moves.SwapAttempts, &res.Moves.SwapAccepts
+	}
 	for iter := st.iter; iter < o.Iterations; iter++ {
-		switch o.Moves {
-		case TwoNeighborSwing:
+		if o.Moves == TwoNeighborSwing {
 			res.Proposed++
-			var e int64
-			var moved bool
-			if o.Symmetry > 1 {
-				e, moved = symTwoNeighborSwing(st.g, o.Symmetry, st.rnd, decide, &res.Moves)
-			} else {
-				e, moved = twoNeighborSwing(st.g, st.rnd, decide, &res.Moves)
-			}
-			if moved {
+			if e, moved := twoNeighborSwing(st.g, sym, st.rnd, decide, &res.Moves, &mv); moved {
 				st.energy = e
 				res.Accepted++
 			}
-		case SwapOnly, SwingOnly:
-			var u undo
-			var ok bool
-			switch {
-			case o.Moves == SwapOnly && o.Symmetry > 1:
-				u, ok = trySymSwap(st.g, o.Symmetry, st.rnd)
-			case o.Moves == SwapOnly:
-				u, ok = trySwap(st.g, st.rnd)
-			case o.Symmetry > 1:
-				u, ok = trySymSwing(st.g, o.Symmetry, st.rnd)
-			default:
-				u, ok = trySwing(st.g, st.rnd)
-			}
-			if ok {
-				res.Proposed++
-				if o.Moves == SwapOnly {
-					res.Moves.SwapAttempts++
-				} else {
-					res.Moves.SwingAttempts++
-				}
-				if e, accepted := decide(); accepted {
-					st.energy = e
-					res.Accepted++
-					if o.Moves == SwapOnly {
-						res.Moves.SwapAccepts++
-					} else {
-						res.Moves.SwingAccepts++
-					}
-				} else {
-					u()
-				}
+		} else if propose(st.g, o.Moves, sym, st.rnd, &mv[0]) {
+			res.Proposed++
+			*attempts++
+			if e, accepted := decide(); accepted {
+				st.energy = e
+				res.Accepted++
+				*accepts++
+			} else {
+				mv[0].undo(st.g)
 			}
 		}
 		if st.energy < st.bestEnergy {
@@ -524,7 +504,7 @@ type telemetry struct {
 func (t *telemetry) init(o Options) {
 	t.observe = o.Observer != nil
 	t.trace = o.TraceEnergy
-	t.max = o.EnergyTraceMax
+	t.max = o.energyTraceMax
 	if t.max <= 0 {
 		t.max = 2048
 	}
@@ -600,35 +580,25 @@ const hillClimbTemp = 1e-9
 // own scorer: on the cache path the first peek attaches the cache to the
 // clone, and every sample's rollback is free. Every path gives the same
 // integers, so the temperature does not depend on the path. Symmetric
-// runs sample symmetric moves: their deltas are ~sym× a single-image
-// move's, and the temperature must match the scale of the moves the loop
-// will actually propose.
+// runs (orbit size sym >= 2; 1 means none) sample orbit moves: their
+// deltas are ~sym× a single-image move's, and the temperature must match
+// the scale of the moves the loop will actually propose. The 2-neighbor
+// swing set samples its step-1 swing.
 func calibrateTemp(g *hsgraph.Graph, moves MoveSet, sym int, rnd *rng.Rand, sc *scorer) float64 {
 	scratch := g.Clone()
 	base, _ := sc.peek(scratch)
 	var sum float64
 	count := 0
+	var mv move
 	for i := 0; i < 40; i++ {
-		var u undo
-		var ok bool
-		switch {
-		case moves == SwapOnly && sym > 1:
-			u, ok = trySymSwap(scratch, sym, rnd)
-		case moves == SwapOnly:
-			u, ok = trySwap(scratch, rnd)
-		case sym > 1:
-			u, ok = trySymSwing(scratch, sym, rnd)
-		default:
-			u, ok = trySwing(scratch, rnd)
-		}
-		if !ok {
+		if !propose(scratch, moves, sym, rnd, &mv) {
 			continue
 		}
 		if e, connected := sc.peek(scratch); connected {
 			sum += math.Abs(float64(e - base))
 			count++
 		}
-		u()
+		mv.undo(scratch)
 	}
 	if count == 0 || sum == 0 {
 		// Fall back to a small fraction of the energy scale.

@@ -80,7 +80,7 @@ func writeAnnealCheckpoint(path string, st *annealState, o *Options) error {
 	e.U64(o.Seed)
 	e.Int(o.ReportEvery)
 	e.Bool(o.TraceEnergy)
-	e.Int(o.EnergyTraceMax)
+	e.Int(o.energyTraceMax)
 	e.Int(o.restart)
 	e.Int(int(EvalExact)) // the retired mode word; every path scores alike
 	// Symmetry is stored normalized (1 = generic): it selects the move
@@ -206,7 +206,7 @@ func decodeAnnealSnapshot(payload []byte) (*annealSnapshot, error) {
 	case !(s.temp >= 0) || math.IsInf(s.temp, 0):
 		return nil, fmt.Errorf("opt: checkpoint: invalid temperature %v", s.temp)
 	case s.energyTraceMax < 0:
-		return nil, fmt.Errorf("opt: checkpoint: negative EnergyTraceMax %d", s.energyTraceMax)
+		return nil, fmt.Errorf("opt: checkpoint: negative energyTraceMax %d", s.energyTraceMax)
 	case s.traceStride < 1 || s.traceInterval < 0:
 		return nil, fmt.Errorf("opt: checkpoint: invalid trace state stride=%d interval=%d", s.traceStride, s.traceInterval)
 	case s.accepted < 0 || s.proposed < 0 || s.accepted > s.proposed:
@@ -295,8 +295,8 @@ func loadAnnealState(path string, o *Options, ev *hsgraph.Evaluator) (*annealSta
 		return nil, mismatch("ReportEvery", s.reportEvery, o.ReportEvery)
 	case o.TraceEnergy != s.traceEnergy:
 		return nil, mismatch("TraceEnergy", s.traceEnergy, o.TraceEnergy)
-	case o.EnergyTraceMax != 0 && o.EnergyTraceMax != s.energyTraceMax:
-		return nil, mismatch("EnergyTraceMax", s.energyTraceMax, o.EnergyTraceMax)
+	case o.energyTraceMax != 0 && o.energyTraceMax != s.energyTraceMax:
+		return nil, mismatch("energyTraceMax", s.energyTraceMax, o.energyTraceMax)
 	case o.restart != s.restart:
 		return nil, mismatch("restart", s.restart, o.restart)
 	case o.Symmetry > 1 && o.Symmetry != s.symmetry:
@@ -310,7 +310,7 @@ func loadAnnealState(path string, o *Options, ev *hsgraph.Evaluator) (*annealSta
 	o.Iterations = s.iterations
 	o.InitialTemp, o.FinalTemp = s.initialTemp, s.finalTemp
 	o.ReportEvery = s.reportEvery
-	o.EnergyTraceMax = s.energyTraceMax
+	o.energyTraceMax = s.energyTraceMax
 
 	g, err := readCheckpointGraph(s.graphText, "current", ev, s.energy)
 	if err != nil {

@@ -30,7 +30,7 @@ func ckptBaseOptions() Options {
 		Seed:           77,
 		ReportEvery:    1,
 		TraceEnergy:    true,
-		EnergyTraceMax: 64,
+		energyTraceMax: 64,
 	}
 }
 
@@ -291,7 +291,7 @@ func TestResumeRejectsMismatchedOptions(t *testing.T) {
 		{"Schedule", func(o *Options) { o.Schedule = Linear }},
 		{"ReportEvery", func(o *Options) { o.ReportEvery = 7 }},
 		{"TraceEnergy", func(o *Options) { o.TraceEnergy = false }},
-		{"EnergyTraceMax", func(o *Options) { o.EnergyTraceMax = 9 }},
+		{"energyTraceMax", func(o *Options) { o.energyTraceMax = 9 }},
 		{"FinalTemp", func(o *Options) { o.FinalTemp = 12345.5 }},
 	}
 	for _, tc := range cases {

@@ -100,7 +100,7 @@ func TestEnergyTraceBoundedAndMonotone(t *testing.T) {
 		ReportEvery:    100, // 60 intervals, forcing several decimations
 		Seed:           9,
 		TraceEnergy:    true,
-		EnergyTraceMax: max,
+		energyTraceMax: max,
 	})
 	if err != nil {
 		t.Fatal(err)

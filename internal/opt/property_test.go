@@ -28,18 +28,19 @@ func TestPropertyMovesPreserveInvariants(t *testing.T) {
 			}
 			return met.TotalPath, rnd.Intn(2) == 0
 		}
+		var mv [2]move
 		for _, op := range ops {
 			switch op % 3 {
 			case 0:
-				if u, ok := trySwap(g, rnd); ok && rnd.Intn(2) == 0 {
-					u()
+				if trySwap(g, 1, rnd, &mv[0]) && rnd.Intn(2) == 0 {
+					mv[0].undo(g)
 				}
 			case 1:
-				if u, ok := trySwing(g, rnd); ok && rnd.Intn(2) == 0 {
-					u()
+				if trySwing(g, 1, rnd, &mv[0]) && rnd.Intn(2) == 0 {
+					mv[0].undo(g)
 				}
 			case 2:
-				twoNeighborSwing(g, rnd, decide, &MoveCounters{})
+				twoNeighborSwing(g, 1, rnd, decide, &MoveCounters{}, &mv)
 			}
 			if g.NumEdges() != edges {
 				return false

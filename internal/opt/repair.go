@@ -163,9 +163,9 @@ func Repair(degraded *hsgraph.Graph, down []int32, o RepairOptions) (*hsgraph.Gr
 	finalTemp := temp / 50
 	cool := math.Pow(finalTemp/temp, 1/math.Max(1, float64(o.Iterations-1)))
 
+	var mv move
 	for iter := 0; iter < o.Iterations; iter++ {
-		u, ok := tryFocusedSwap(g, rnd, affected)
-		if !ok {
+		if !tryFocusedSwap(g, rnd, affected, &mv) {
 			continue
 		}
 		res.Proposed++
@@ -190,7 +190,7 @@ func Repair(degraded *hsgraph.Graph, down []int32, o RepairOptions) (*hsgraph.Gr
 				best = g.Clone()
 			}
 		} else {
-			u()
+			mv.undo(g)
 		}
 		temp *= cool
 	}
@@ -235,11 +235,12 @@ func farthestPair(g *hsgraph.Graph, free []int, dist []int32, queue []int32) (in
 
 // tryFocusedSwap is trySwap with the first edge restricted (by rejection
 // sampling) to edges incident to an affected switch, so the anneal only
-// rewires the failure neighbourhood.
-func tryFocusedSwap(g *hsgraph.Graph, rnd *rng.Rand, affected []bool) (undo, bool) {
+// rewires the failure neighbourhood. The swap itself is applySwap's, on
+// the generic graph (sym = 1), recorded in mv.
+func tryFocusedSwap(g *hsgraph.Graph, rnd *rng.Rand, affected []bool, mv *move) bool {
 	ne := g.NumEdges()
 	if ne < 2 {
-		return nil, false
+		return false
 	}
 	for attempt := 0; attempt < 16; attempt++ {
 		a, b := g.Edge(rnd.Intn(ne))
@@ -256,16 +257,7 @@ func tryFocusedSwap(g *hsgraph.Graph, rnd *rng.Rand, affected []bool) (undo, boo
 		if g.HasEdge(a, d) || g.HasEdge(b, c) {
 			continue
 		}
-		mustDo(g.Disconnect(a, b))
-		mustDo(g.Disconnect(c, d))
-		mustDo(g.Connect(a, d))
-		mustDo(g.Connect(b, c))
-		return func() {
-			mustDo(g.Disconnect(a, d))
-			mustDo(g.Disconnect(b, c))
-			mustDo(g.Connect(a, b))
-			mustDo(g.Connect(c, d))
-		}, true
+		return applySwap(g, 1, a, b, c, d, mv)
 	}
-	return nil, false
+	return false
 }

@@ -132,12 +132,12 @@ func TestSymmetricMovesPreserveSymmetry(t *testing.T) {
 	const sym = 4
 	g := symStart(t, sym, 9)
 	rnd := rng.New(3)
+	var mv [2]move
 	swaps := 0
 	for i := 0; i < 300; i++ {
 		before := g.Fingerprint()
 		edges := g.NumEdges()
-		u, ok := trySymSwap(g, sym, rnd)
-		if !ok {
+		if !trySwap(g, sym, rnd, &mv[0]) {
 			continue
 		}
 		swaps++
@@ -148,7 +148,7 @@ func TestSymmetricMovesPreserveSymmetry(t *testing.T) {
 			t.Fatalf("iteration %d: symmetric swap broke the symmetry: %v", i, err)
 		}
 		if i%2 == 0 {
-			u()
+			mv[0].undo(g)
 			if g.Fingerprint() != before {
 				t.Fatalf("iteration %d: undo did not restore the graph", i)
 			}
@@ -161,8 +161,7 @@ func TestSymmetricMovesPreserveSymmetry(t *testing.T) {
 	swings := 0
 	for i := 0; i < 300; i++ {
 		before := g.Fingerprint()
-		u, ok := trySymSwing(g, sym, rnd)
-		if !ok {
+		if !trySwing(g, sym, rnd, &mv[0]) {
 			continue
 		}
 		swings++
@@ -170,7 +169,7 @@ func TestSymmetricMovesPreserveSymmetry(t *testing.T) {
 			t.Fatalf("iteration %d: symmetric swing broke the symmetry: %v", i, err)
 		}
 		if i%2 == 0 {
-			u()
+			mv[0].undo(g)
 			if g.Fingerprint() != before {
 				t.Fatalf("iteration %d: swing undo did not restore the graph", i)
 			}
@@ -183,9 +182,9 @@ func TestSymmetricMovesPreserveSymmetry(t *testing.T) {
 	var mc MoveCounters
 	accepts := 0
 	for i := 0; i < 200; i++ {
-		_, moved := symTwoNeighborSwing(g, sym, rnd, func() (int64, bool) {
+		_, moved := twoNeighborSwing(g, sym, rnd, func() (int64, bool) {
 			return 0, rnd.Intn(2) == 0
-		}, &mc)
+		}, &mc, &mv)
 		if moved {
 			accepts++
 		}

@@ -87,8 +87,8 @@ type Record struct {
 	Metrics Metrics `json:"metrics"`
 
 	// EnergyTrace is the bounded best-energy convergence trace
-	// (opt.Result.EnergyTrace, already decimated to EnergyTraceMax by
-	// the annealer); Stride is iterations per sample.
+	// (opt.Result.EnergyTrace, already decimated to at most 2048 samples
+	// by the annealer); Stride is iterations per sample.
 	EnergyTrace       []float64 `json:"energyTrace,omitempty"`
 	EnergyTraceStride int       `json:"energyTraceStride,omitempty"`
 
